@@ -90,11 +90,22 @@ class TestPodem:
     def test_backtrack_limit_aborts(self, medium_synth):
         graph = FaultGraph(medium_synth)
         podem = Podem(graph, backtrack_limit=0)
-        statuses = set()
-        for fault in collapse_faults(medium_synth)[:40]:
-            statuses.add(podem.run(fault).status)
-        # With zero backtracks allowed, hard faults abort.
-        assert PodemStatus.DETECTED in statuses  # easy ones still work
+        results = [podem.run(f) for f in collapse_faults(medium_synth)[:40]]
+        # With zero backtracks allowed, easy faults still work...
+        assert any(r.status is PodemStatus.DETECTED for r in results)
+        # ...and hard ones abort on their first backtrack.
+        aborted = [r for r in results if r.status is PodemStatus.ABORTED]
+        assert aborted
+        for r in aborted:
+            assert r.backtracks == podem.backtrack_limit + 1
+            assert r.pi_bits is None and r.si_bits is None
+        # A generous limit lets the same search finish, either way.
+        patient = Podem(graph)
+        for r in aborted:
+            assert patient.run(r.fault).status in (
+                PodemStatus.DETECTED,
+                PodemStatus.UNDETECTABLE,
+            )
 
 
 class TestClassify:
