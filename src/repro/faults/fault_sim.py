@@ -2,8 +2,9 @@
 
 Faults are packed 64 per ``uint64`` word; the whole remaining fault list
 is simulated against one test in a single pass of the compiled model per
-time unit.  The fault-free machine is simulated first (one word) and every
-faulty machine is compared against it at the three observation points the
+time unit.  The fault-free machine rides along in the same pass, as one
+extra word next to the fault words of each test, and every faulty
+machine is compared against it at the three observation points the
 paper uses:
 
 - primary outputs at every functional time unit,
@@ -12,20 +13,27 @@ paper uses:
 
 Faults are dropped at test boundaries (the standard trade-off: within one
 test a detected fault keeps simulating, which is harmless).
+
+One kernel, :meth:`FaultSimulator._simulate_candidate_batch`, serves
+every entry point: :meth:`~FaultSimulator.simulate` (one test per pass),
+:meth:`~FaultSimulator.simulate_grouped` (a batch of same-shape tests
+per pass) and :meth:`~FaultSimulator.simulate_candidates` (several
+candidate test sets side by side).  Its injection masks are built from
+arrays (:meth:`~repro.simulation.compiled.Injections.from_arrays`).
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault, FaultGraph
 from repro.simulation.compiled import Injections
-from repro.simulation.scan import bit_to_word, full_scan_state, limited_shift
+from repro.simulation.scan import limited_shift
 
 #: One limited-scan step: (shift_amount, fill_bits).
 ScheduleStep = Tuple[int, Sequence[int]]
@@ -105,14 +113,6 @@ class ObservationPolicy:
         return np.asarray(self.state_taps, dtype=np.intp)
 
 
-@dataclass
-class _FaultFreeRef:
-    po_words: List[np.ndarray]  # per u: (n_po,) replicated words
-    scanout_words: List[np.ndarray]  # per u: (k,) replicated words
-    final_state: np.ndarray  # (chain, 1)
-    tap_words: List[np.ndarray]  # per u: (n_taps,) captured-state taps
-
-
 class FaultSimulator:
     """Sequential stuck-at fault simulator for full-scan tests.
 
@@ -147,26 +147,10 @@ class FaultSimulator:
                 raise ValueError("chain must be distinct positions in range")
         self.chain = np.array(chain, dtype=np.intp)
 
-    def __getstate__(self) -> dict:
-        # The injection cache is a per-process working set keyed by
-        # object identity; never ship it through pickle (shared-memory
-        # publication, worker dispatch).
-        state = self.__dict__.copy()
-        state.pop("_cand_inj_cache", None)
-        return state
-
     @property
     def chain_length(self) -> int:
         """Scanned flip-flops (= N_SV under full scan)."""
         return len(self.chain)
-
-    def _initial_state(self, si: Sequence[int], n_words: int) -> np.ndarray:
-        state = np.zeros((self._n_sv, n_words), dtype=np.uint64)
-        if len(self.chain):
-            state[self.chain, :] = full_scan_state(
-                len(self.chain), si, n_words
-            )
-        return state
 
     def _shift(
         self, state: np.ndarray, k: int, fill: Sequence[int]
@@ -196,17 +180,10 @@ class FaultSimulator:
             self._check_test(test)
             if not remaining:
                 break
-            ref = self._fault_free_reference(test, policy)
-            groups = [remaining[i : i + 64] for i in range(0, len(remaining), 64)]
-            hits = self._simulate_faulty(test, groups, ref, policy)
+            hits = self._kernel_hits([test], [0], remaining, policy, t_idx)
             if hits:
-                for (word, bit), (u, where) in hits.items():
-                    fault = groups[word][bit]
-                    detected[fault] = DetectionRecord(
-                        fault=fault, test_index=t_idx, time_unit=u, where=where
-                    )
-                hit_faults = set(detected)
-                remaining = [f for f in remaining if f not in hit_faults]
+                detected.update(hits)
+                remaining = [f for f in remaining if f not in hits]
         return detected
 
     def simulate_grouped(
@@ -226,36 +203,53 @@ class FaultSimulator:
         to :meth:`simulate`; only the (test, time-unit) attribution of
         first detections may differ (earliest time unit instead of
         earliest test).  ``max_cols`` bounds memory: a batch is chunked
-        so that ``n_tests * n_groups <= max_cols``.
+        into ``max_cols // n_groups`` tests (at least one), so a chunk
+        has ``n_tests * (n_groups + 1)`` columns counting the reference.
+        The chunk boundaries decide which test a first detection is
+        attributed to, so that rule is part of the result.
         """
         policy = policy or ObservationPolicy()
         remaining: List[Fault] = list(faults)
         detected: Dict[Fault, DetectionRecord] = {}
 
-        batches: Dict[tuple, List[Tuple[int, ScanTest]]] = {}
-        for i, test in enumerate(tests):
-            self._check_test(test)
-            sig = (
-                test.length,
-                tuple(
-                    (k, tuple(fill))
-                    for k, fill in (test.schedule or [(0, ())] * test.length)
-                ),
-            )
-            batches.setdefault(sig, []).append((i, test))
-
-        for items in batches.values():
+        for idx in self.candidate_partition(tests):
             pos = 0
-            while pos < len(items) and remaining:
+            while pos < len(idx) and remaining:
                 n_groups = (len(remaining) + 63) // 64
                 chunk_tests = max(1, max_cols // max(n_groups, 1))
-                chunk = items[pos : pos + chunk_tests]
+                chunk = idx[pos : pos + chunk_tests]
                 pos += len(chunk)
-                hits = self._simulate_batch(chunk, remaining, policy)
+                hits = self._kernel_hits(tests, chunk, remaining, policy)
                 if hits:
                     detected.update(hits)
                     remaining = [f for f in remaining if f not in hits]
         return detected
+
+    def _kernel_hits(
+        self,
+        tests: Sequence[ScanTest],
+        idx_list: Sequence[int],
+        faults: Sequence[Fault],
+        policy: ObservationPolicy,
+        test_index: Optional[int] = None,
+    ) -> Dict[Fault, DetectionRecord]:
+        """First detections of one kernel pass of ``tests[i]`` for ``i``
+        in ``idx_list`` against ``faults``, in recording order.
+
+        Records carry the index in ``tests``, or ``test_index`` if given.
+        """
+        rows: List[List[tuple]] = [[]]
+        self._simulate_candidate_batch([tests], idx_list, faults, policy, 0, rows)
+        hits: Dict[Fault, DetectionRecord] = {}
+        for pos, _, t, u, where in rows[0]:
+            fault = faults[pos]
+            hits[fault] = DetectionRecord(
+                fault=fault,
+                test_index=t if test_index is None else test_index,
+                time_unit=u,
+                where=where,
+            )
+        return hits
 
     # ------------------------------------------------------------------
     # Batched multi-candidate evaluation (the persistent-pool fast path).
@@ -348,7 +342,7 @@ class FaultSimulator:
             return [[] for _ in test_sets]
         if not self.candidates_compatible(test_sets, len(faults), max_cols):
             return None
-        groups = [faults[i : i + 64] for i in range(0, len(faults), 64)]
+        n_groups = (len(faults) + 63) // 64
         rows: List[List[tuple]] = [[] for _ in test_sets]
         for batch_rank, idx_list in enumerate(
             self.candidate_partition(test_sets[0])
@@ -362,75 +356,50 @@ class FaultSimulator:
             # degrade gracefully towards per-candidate passes.
             # One candidate occupies nT * (G + 1) columns in the combined
             # layout (faulty groups plus the riding reference slot).
-            per_cand = max(1, len(idx_list) * (len(groups) + 1))
+            per_cand = max(1, len(idx_list) * (n_groups + 1))
             c_chunk = max(1, max_cols // per_cand)
             for c0 in range(0, len(test_sets), c_chunk):
                 self._simulate_candidate_batch(
                     test_sets[c0 : c0 + c_chunk],
                     idx_list,
-                    groups,
+                    faults,
                     policy,
                     batch_rank,
                     rows[c0 : c0 + c_chunk],
                 )
         return rows
 
-    def _base_injections(self, groups: List[List[Fault]], nT: int) -> Any:
-        """Single-candidate injection masks for ``groups`` x ``nT`` tests.
-
-        The masks depend only on the fault identities (signal, value,
-        word/bit position) and the test count -- not on vectors or
-        schedules -- so consecutive candidate batches over an unchanged
-        remaining list (Procedure 2's plateau) reuse one build.  Keys
-        pin the fault objects, so an ``id`` can never be recycled while
-        its entry lives; the cache is small and never pickled.
-        """
-        cache = getattr(self, "_cand_inj_cache", None)
-        if cache is None:
-            cache = self._cand_inj_cache = {}
-        flat = tuple(f for group in groups for f in group)
-        key = (nT, len(groups), tuple(map(id, flat)))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[1]
-        entries = []
-        G = len(groups)
-        for g, group in enumerate(groups):
-            for bit, fault in enumerate(group):
-                sig_idx = self.graph.signal_of(fault)
-                for t in range(nT):
-                    entries.append((sig_idx, t * G + g, bit, fault.value))
-        base_inj = Injections.build(entries, self.model.level_of_signal)
-        while len(cache) >= 4:
-            cache.pop(next(iter(cache)))
-        cache[key] = (flat, base_inj)
-        return base_inj
-
     def _simulate_candidate_batch(
         self,
         test_sets: Sequence[Sequence[ScanTest]],
         idx_list: Sequence[int],
-        groups: List[List[Fault]],
+        faults: Sequence[Fault],
         policy: ObservationPolicy,
         batch_rank: int,
         rows: List[List[tuple]],
     ) -> None:
-        """One uniform batch, all candidates side by side.
+        """The fault-simulation kernel: one uniform batch, all candidates
+        side by side.
 
-        Column layout: ``(c * nT + t) * (G + 1) + g`` with the fault-free
+        Fault ``p`` sits at bit ``p % 64`` of group ``p // 64``.  Column
+        layout: ``(c * nT + t) * (G + 1) + g`` with the fault-free
         reference riding along as slot ``g == G`` -- one ``model.eval``
         per time unit serves every candidate's faulty machines *and* the
-        reference.  Injection masks are remapped to the ``G + 1`` stride
-        and never touch the reference slots, so every column carries
-        bit-for-bit the value the serial :meth:`_simulate_batch` layout
-        (separate reference pass, ``G``-stride faulty pass) would give
-        it, and therefore every detection row is identical to a
-        per-candidate serial pass.
+        reference.  Injection masks never touch the reference slots, and
+        every column is evaluated independently, so each detection row
+        depends only on its own candidate, test and fault.
+        :meth:`simulate` is the ``C = 1, nT = 1`` case and
+        :meth:`simulate_grouped` the ``C = 1`` case.
+
+        Appends ``(fault_pos, batch_rank, test_index, time_unit, where)``
+        to ``rows[c]`` per first detection, in recording order: time unit,
+        then observation point, then fault position.
         """
         model = self.model
         C = len(test_sets)
         nT = len(idx_list)
-        G = len(groups)
+        n_faults = len(faults)
+        G = (n_faults + 63) // 64
         W = G + 1  # faulty groups plus the reference slot
         cand_tests = [[ts[i] for i in idx_list] for ts in test_sets]
         length = cand_tests[0][0].length
@@ -448,24 +417,18 @@ class FaultSimulator:
             for u in range(length)
         ]
 
-        # Injection masks are built once for a single candidate block and
-        # retargeted to the combined stride with per-candidate column
-        # offsets: the Python-level entry merge (O(faults * tests)
-        # tuples) is paid once per batch -- and cached across batches,
-        # since Procedure 2's plateau phase re-dispatches the same
-        # remaining faults window after window.
-        base_inj = self._base_injections(groups, nT)
-        inj = Injections()
-        offsets = np.arange(C, dtype=np.intp) * (nT * W)
-        for lvl, (sigs, words, ands, ors) in base_inj.per_level.items():
-            # words = t * G + g for one candidate; restride to t * W + g.
-            restrided = words + words // G  # t*G+g + t == t*(G+1)+g
-            inj.per_level[lvl] = (
-                np.tile(sigs, C),
-                (restrided[None, :] + offsets[:, None]).reshape(-1),
-                np.tile(ands, C),
-                np.tile(ors, C),
-            )
+        # One set of masks for the G fault groups, repeated for every
+        # (candidate, test) block at the W stride.
+        pos = np.arange(n_faults, dtype=np.intp)
+        inj = Injections.from_arrays(
+            self.graph.signals_of(faults),
+            pos // 64,
+            pos % 64,
+            np.fromiter((f.value for f in faults), dtype=np.uint8, count=n_faults),
+            model.level_of_signal,
+            n_blocks=C * nT,
+            stride=W,
+        )
 
         n_cols = C * nT * W
         state = np.zeros((self._n_sv, n_cols), dtype=np.uint64)
@@ -477,7 +440,8 @@ class FaultSimulator:
         def record_one(
             c: int, diff_tg: np.ndarray, u: int, where: str
         ) -> None:
-            """Candidate ``c``'s slice of the serial ``record`` logic."""
+            """Record candidate ``c``'s fresh detections in ``diff_tg``
+            (tests x groups), each at its first detecting test."""
             agg = np.bitwise_or.reduce(diff_tg, axis=0)
             fresh = agg & ~seen[c]
             if not fresh.any():
@@ -487,22 +451,14 @@ class FaultSimulator:
                 mask_col = diff_tg[:, g]
                 while bits:
                     low = bits & -bits
-                    bit = low.bit_length() - 1
-                    if bit < len(groups[g]):
+                    p = int(g) * 64 + low.bit_length() - 1
+                    if p < n_faults:
                         t_loc = int(
                             np.flatnonzero(mask_col & np.uint64(low))[0]
                         )
                         # Plain ints only: rows cross a process boundary
                         # and are schema-validated on the way back.
-                        rows[c].append(
-                            (
-                                int(g) * 64 + bit,
-                                batch_rank,
-                                idx_list[t_loc],
-                                u,
-                                where,
-                            )
-                        )
+                        rows[c].append((p, batch_rank, idx_list[t_loc], u, where))
                     bits ^= low
             seen[c] |= fresh
 
@@ -546,105 +502,6 @@ class FaultSimulator:
             diff = fs[..., :G] ^ fs[..., G:]
             record_all(np.bitwise_or.reduce(diff, axis=0), length, "scan-out")
 
-    def _simulate_batch(
-        self,
-        items: Sequence[Tuple[int, ScanTest]],
-        remaining: Sequence[Fault],
-        policy: ObservationPolicy,
-    ) -> Dict[Fault, DetectionRecord]:
-        model = self.model
-        tests = [t for _, t in items]
-        test_ids = [i for i, _ in items]
-        n_tests = len(tests)
-        length = tests[0].length
-        schedule = [tests[0].step(u) for u in range(length)]
-        groups = [list(remaining[i : i + 64]) for i in range(0, len(remaining), 64)]
-        n_groups = len(groups)
-        n_cols = n_tests * n_groups  # column = t * n_groups + g
-
-        taps = policy.tap_rows()
-        # --- fault-free reference over all tests (one column per test) ---
-        ref_po, ref_scan, ref_final, ref_taps = self._ff_batch(
-            tests, schedule, taps
-        )
-
-        # --- faulty pass ---------------------------------------------------
-        entries = []
-        for g, group in enumerate(groups):
-            for bit, fault in enumerate(group):
-                sig_idx = self.graph.signal_of(fault)
-                for t in range(n_tests):
-                    entries.append((sig_idx, t * n_groups + g, bit, fault.value))
-        injections = Injections.build(entries, model.level_of_signal)
-
-        si_words = self._si_words(tests)  # (chain, n_tests)
-        state = np.zeros((self._n_sv, n_cols), dtype=np.uint64)
-        if len(self.chain):
-            state[self.chain, :] = np.repeat(si_words, n_groups, axis=1)
-        vals = model.alloc(n_cols)
-        seen = np.zeros(n_groups, dtype=np.uint64)
-        hits: Dict[Fault, DetectionRecord] = {}
-
-        def record(diff_tg: np.ndarray, u: int, where: str) -> None:
-            nonlocal seen
-            agg = np.bitwise_or.reduce(diff_tg, axis=0)
-            fresh = agg & ~seen
-            if not fresh.any():
-                return
-            for g in np.flatnonzero(fresh):
-                bits = int(fresh[g])
-                mask_col = diff_tg[:, g]
-                while bits:
-                    low = bits & -bits
-                    bit = low.bit_length() - 1
-                    if bit < len(groups[g]):
-                        t_first = int(
-                            np.flatnonzero(mask_col & np.uint64(low))[0]
-                        )
-                        fault = groups[g][bit]
-                        hits[fault] = DetectionRecord(
-                            fault=fault,
-                            test_index=test_ids[t_first],
-                            time_unit=u,
-                            where=where,
-                        )
-                    bits ^= low
-            seen |= fresh
-
-        pi_cube = self._pi_words(tests)  # list per u: (n_pi, n_tests)
-        for u in range(length):
-            k, fill = schedule[u]
-            if k > 0:
-                state, out_words = self._shift(state, k, list(fill))
-                if policy.limited_scan_out:
-                    diff = out_words.reshape(k, n_tests, n_groups) ^ ref_scan[u][
-                        :, :, None
-                    ]
-                    record(
-                        np.bitwise_or.reduce(diff, axis=0), u, "limited-scan"
-                    )
-            vals[model.pi_idx, :] = np.repeat(pi_cube[u], n_groups, axis=1)
-            vals[model.q_idx, :] = state
-            model.eval(vals, injections=injections)
-            if policy.primary_outputs and len(model.po_idx):
-                diff = vals[model.po_idx, :].reshape(
-                    len(model.po_idx), n_tests, n_groups
-                ) ^ ref_po[u][:, :, None]
-                record(np.bitwise_or.reduce(diff, axis=0), u, "po")
-            state = vals[model.d_idx, :].copy()
-            if taps is not None:
-                diff = state[taps, :].reshape(
-                    len(taps), n_tests, n_groups
-                ) ^ ref_taps[u][:, :, None]
-                record(np.bitwise_or.reduce(diff, axis=0), u, "state-tap")
-
-        if policy.final_scan_out and self.chain_length:
-            diff = state[self.chain].reshape(
-                self.chain_length, n_tests, n_groups
-            ) ^ ref_final[:, :, None]
-            record(np.bitwise_or.reduce(diff, axis=0), length, "scan-out")
-        return hits
-
     def _si_words(self, tests: Sequence[ScanTest]) -> np.ndarray:
         """(chain_length, n_tests) replicated-bit words of the SIs."""
         bits = np.array([t.si for t in tests], dtype=bool).T
@@ -664,39 +521,6 @@ class FaultSimulator:
                 ).astype(np.uint64)
             )
         return out
-
-    def _ff_batch(
-        self,
-        tests: Sequence[ScanTest],
-        schedule: Sequence[ScheduleStep],
-        taps: Optional[np.ndarray] = None,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray, List[np.ndarray]]:
-        """Fault-free reference for a uniform batch (one column per test)."""
-        model = self.model
-        n_tests = len(tests)
-        state = np.zeros((self._n_sv, n_tests), dtype=np.uint64)
-        if len(self.chain):
-            state[self.chain, :] = self._si_words(tests)
-        vals = model.alloc(n_tests)
-        pi_cube = self._pi_words(tests)
-        ref_po: List[np.ndarray] = []
-        ref_scan: List[np.ndarray] = []
-        ref_taps: List[np.ndarray] = []
-        for u in range(tests[0].length):
-            k, fill = schedule[u]
-            if k > 0:
-                state, out_words = self._shift(state, k, list(fill))
-                ref_scan.append(out_words.copy())
-            else:
-                ref_scan.append(np.zeros((0, n_tests), dtype=np.uint64))
-            vals[model.pi_idx, :] = pi_cube[u]
-            vals[model.q_idx, :] = state
-            model.eval(vals)
-            ref_po.append(vals[model.po_idx, :].copy())
-            state = vals[model.d_idx, :].copy()
-            if taps is not None:
-                ref_taps.append(state[taps, :].copy())
-        return ref_po, ref_scan, state[self.chain].copy(), ref_taps
 
     def detected_by(
         self,
@@ -795,103 +619,3 @@ class FaultSimulator:
                 )
         if test.schedule is not None and len(test.schedule) != test.length:
             raise ValueError("schedule length must equal test length")
-
-    def _fault_free_reference(
-        self, test: ScanTest, policy: Optional[ObservationPolicy] = None
-    ) -> _FaultFreeRef:
-        model = self.model
-        taps = (policy or ObservationPolicy()).tap_rows()
-        state = self._initial_state(test.si, n_words=1)
-        vals = model.alloc(n_words=1)
-        po_words: List[np.ndarray] = []
-        scanout_words: List[np.ndarray] = []
-        tap_words: List[np.ndarray] = []
-        for u, vector in enumerate(test.vectors):
-            k, fill = test.step(u)
-            if k > 0:
-                state, out_words = self._shift(state, k, list(fill))
-                scanout_words.append(out_words[:, 0].copy())
-            else:
-                scanout_words.append(np.zeros(0, dtype=np.uint64))
-            model.set_inputs_from_bits(vals, vector)
-            vals[model.q_idx, :] = state
-            model.eval(vals)
-            po_words.append(vals[model.po_idx, 0].copy())
-            state = vals[model.d_idx, :].copy()
-            if taps is not None:
-                tap_words.append(state[taps, 0].copy())
-        return _FaultFreeRef(
-            po_words=po_words,
-            scanout_words=scanout_words,
-            final_state=state[self.chain].copy(),
-            tap_words=tap_words,
-        )
-
-    def _simulate_faulty(
-        self,
-        test: ScanTest,
-        groups: List[List[Fault]],
-        ref: _FaultFreeRef,
-        policy: ObservationPolicy,
-    ) -> Dict[Tuple[int, int], Tuple[int, str]]:
-        """Run all fault groups through one test.
-
-        Returns ``{(word, bit): (time_unit, where)}`` for first detections;
-        the final scan-out is reported with time unit ``test.length``.
-        """
-        model = self.model
-        taps = policy.tap_rows()
-        n_words = len(groups)
-        entries = []
-        for word, group in enumerate(groups):
-            for bit, fault in enumerate(group):
-                entries.append(self.graph.injection_entry(fault, word, bit))
-        injections = Injections.build(entries, model.level_of_signal)
-
-        state = self._initial_state(test.si, n_words)
-        # A fault on a flop's Q net must corrupt what the combinational
-        # logic sees, but not the latched/scanned value -- which is exactly
-        # what injecting into `vals` (not `state`) does.
-        vals = model.alloc(n_words)
-        seen = np.zeros(n_words, dtype=np.uint64)
-        hits: Dict[Tuple[int, int], Tuple[int, str]] = {}
-
-        def record(diff_words: np.ndarray, u: int, where: str) -> None:
-            nonlocal seen
-            fresh = diff_words & ~seen
-            if not fresh.any():
-                return
-            for word in np.flatnonzero(fresh):
-                bits = int(fresh[word])
-                while bits:
-                    low = bits & -bits
-                    bit = low.bit_length() - 1
-                    if bit < len(groups[word]):
-                        hits[(word, bit)] = (u, where)
-                    bits ^= low
-            seen |= fresh
-
-        for u, vector in enumerate(test.vectors):
-            k, fill = test.step(u)
-            if k > 0:
-                state, out_words = self._shift(state, k, list(fill))
-                if policy.limited_scan_out:
-                    diff = out_words ^ ref.scanout_words[u][:, None]
-                    record(np.bitwise_or.reduce(diff, axis=0), u, "limited-scan")
-            model.set_inputs_from_bits(vals, vector)
-            vals[model.q_idx, :] = state
-            model.eval(vals, injections=injections)
-            if policy.primary_outputs and len(model.po_idx):
-                diff = vals[model.po_idx, :] ^ ref.po_words[u][:, None]
-                record(np.bitwise_or.reduce(diff, axis=0), u, "po")
-            state = vals[model.d_idx, :].copy()
-            if taps is not None:
-                diff = state[taps, :] ^ ref.tap_words[u][:, None]
-                record(np.bitwise_or.reduce(diff, axis=0), u, "state-tap")
-
-        if policy.final_scan_out and self.chain_length:
-            diff = state[self.chain] ^ ref.final_state
-            record(
-                np.bitwise_or.reduce(diff, axis=0), test.length, "scan-out"
-            )
-        return hits

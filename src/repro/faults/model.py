@@ -16,7 +16,9 @@ faults with simple per-net masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.circuit.netlist import Circuit
 
@@ -141,6 +143,8 @@ class FaultGraph:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
+        # The fault -> signal memo is a per-process working set.
+        state.pop("_signal_memo", None)
         # Ship the original circuit as arrays; the branched sim circuit
         # needs nothing extra -- it is the model's own compiled netlist.
         if state.get("_circuit") is not None:
@@ -160,6 +164,21 @@ class FaultGraph:
 
     def signal_of(self, fault: Fault) -> int:
         return self.model.index_of(self.net_of(fault))
+
+    def signals_of(self, faults: Sequence[Fault]) -> np.ndarray:
+        """:meth:`signal_of` for every fault, as an ``intp`` array.
+
+        Answers come from a memo filled on first use, never at
+        construction, so building a graph costs nothing extra; the
+        simulators ask for the same remaining faults call after call.
+        """
+        memo = self.__dict__.setdefault("_signal_memo", {})
+        missing = [f for f in faults if f not in memo]
+        for fault in missing:
+            memo[fault] = self.signal_of(fault)
+        return np.fromiter(
+            map(memo.__getitem__, faults), dtype=np.intp, count=len(faults)
+        )
 
     def injection_entry(
         self, fault: Fault, word: int, bit: int

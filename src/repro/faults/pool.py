@@ -57,6 +57,7 @@ action.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import pickle
 import sys
@@ -83,6 +84,7 @@ from repro.faults.sharding import (
 )
 from repro.robustness.chaos import ChaosPlan, execute_injected
 from repro.robustness.degradation import DegradationReport
+from repro.robustness.lifetime import arm_pdeathsig
 
 #: A raw first-detection row:
 #: ``(fault, batch_rank, test_index, time_unit, where)``.
@@ -322,9 +324,19 @@ class PersistentWorkerPool:
         if self._executor is None:
             # Never spawn more workers than cores: extra workers cannot
             # add parallelism, but round-robin dispatch across them makes
-            # every per-worker cache (test-set, injection) run cold.
+            # every per-worker test-set cache run cold.
             workers = min(self.n_jobs, available_cpu_count())
-            self._executor = ProcessPoolExecutor(max_workers=workers)
+            # Workers die with this process.  With the fork start method
+            # the executor forks every worker inside the first submit(),
+            # so from the thread driving the dispatches, which outlives
+            # the pool; a respawn after kill() is a new executor, forked
+            # the same way.
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=arm_pdeathsig,
+                initargs=(os.getpid(),),
+            )
         return self._executor
 
     def submit(

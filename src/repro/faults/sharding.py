@@ -33,6 +33,7 @@ and their fault shard per task.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import pickle
 import random
@@ -51,6 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.faults.model import Fault
 from repro.robustness.chaos import ChaosPlan, execute_injected
 from repro.robustness.degradation import DegradationReport
+from repro.robustness.lifetime import arm_pdeathsig
 from repro.simulation.compiled import shard_word_ranges
 
 #: Faults per simulation word (bits of a uint64).
@@ -160,8 +162,9 @@ class RecoveryPolicy:
 _WORKER_SIM: Any = None
 
 
-def _init_worker(payload: bytes) -> None:
+def _init_worker(payload: bytes, parent_pid: int) -> None:
     global _WORKER_SIM
+    arm_pdeathsig(parent_pid)
     _WORKER_SIM = pickle.loads(payload)
 
 
@@ -216,10 +219,13 @@ class SimulatorPool:
                 # and a respawn after kill() reuses the cached payload.
                 self._payload = pickle.dumps(self._simulator)
                 self.pickle_count += 1
+            # Workers die with this process; see the persistent pool for
+            # why the forking thread outlives them.
             self._executor = ProcessPoolExecutor(
                 max_workers=self.n_jobs,
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
-                initargs=(self._payload,),
+                initargs=(self._payload, os.getpid()),
             )
         return self._executor
 

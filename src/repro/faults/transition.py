@@ -213,13 +213,13 @@ class TransitionFaultSimulator:
                 launched = (site_vals[u - 1] == stuck) & (
                     site_vals[u] != stuck
                 )
-            entries = [
-                (int(sites[i]), i // 64, i % 64, int(stuck[i]))
-                for i in np.flatnonzero(launched)
-            ]
+            pos = np.flatnonzero(launched)
             injections = (
-                Injections.build(entries, model.level_of_signal)
-                if entries
+                Injections.from_arrays(
+                    sites[pos], pos // 64, pos % 64, stuck[pos],
+                    model.level_of_signal,
+                )
+                if len(pos)
                 else None
             )
             model.set_inputs_from_bits(vals, vector)

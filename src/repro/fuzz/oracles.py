@@ -18,6 +18,11 @@ fingerprints for triage.  The contract each oracle enforces:
 - ``sim-equivalence``: the compiled bit-parallel engine and the
   event-driven engine (no shared evaluation code) agree on POs and
   next-state for random vectors.
+- ``fault-sim``: the parallel-fault simulator's ``simulate_grouped``
+  detects exactly the sampled faults whose single-fault machine
+  (``simulate_test`` with whole-word injections) differs from the
+  fault-free one at a primary output, a shifted-out bit or the final
+  state, on random tests that include a limited-scan schedule.
 - ``scan-invariants``: ``limited_shift`` identity/composition laws.
 - ``cost-model``: the paper's ``Ncyc`` formulas are non-negative,
   monotone, and self-consistent.
@@ -26,6 +31,7 @@ fingerprints for triage.  The contract each oracle enforces:
 from __future__ import annotations
 
 import re
+import zlib
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,9 +41,12 @@ from repro.circuit.bench_parser import BenchParseError, parse_bench, write_bench
 from repro.circuit.netlist import Circuit
 from repro.circuit.verilog import parse_verilog, write_verilog
 from repro.core.cost import ncyc0, ncyc0_scaled, ncyc_pair, total_cycles
-from repro.simulation.compiled import CompiledModel
+from repro.faults.fault_sim import FaultSimulator, ScanTest
+from repro.faults.model import FaultGraph, generate_faults
+from repro.simulation.compiled import CompiledModel, Injections
 from repro.simulation.event_sim import EventSimulator
 from repro.simulation.scan import limited_shift
+from repro.simulation.sequential import simulate_test
 
 #: Names that can survive a Verilog round-trip unchanged.
 _VERILOG_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
@@ -50,6 +59,11 @@ _VERILOG_RESERVED = {
 #: Cap on gate count for the simulation oracle; fuzz circuits are small,
 #: this only guards against pathological generated/mutated blowups.
 _SIM_GATE_CAP = 4000
+
+#: The fault-simulation oracle re-simulates every sampled fault alone,
+#: so it keeps to small circuits and at most one 64-fault word.
+_FAULT_SIM_GATE_CAP = 120
+_FAULT_SIM_MAX_FAULTS = 64
 
 
 class OracleOutcome:
@@ -178,6 +192,81 @@ def check_sim_equivalence(
     return None
 
 
+def _random_tests(
+    rng: np.random.Generator, n_sv: int, n_pi: int
+) -> List[ScanTest]:
+    """2-3 random tests of 1-3 vectors; the first has a limited scan at
+    every time unit after the first (shift 0 to ``n_sv``)."""
+    tests = []
+    for i in range(int(rng.integers(2, 4))):
+        length = int(rng.integers(1, 4))
+        schedule = None
+        if i == 0:
+            schedule = [(0, ())]
+            for _ in range(1, length):
+                k = int(rng.integers(0, n_sv + 1))
+                schedule.append((k, tuple(int(b) for b in rng.integers(0, 2, k))))
+        tests.append(
+            ScanTest(
+                si=[int(b) for b in rng.integers(0, 2, n_sv)],
+                vectors=[
+                    [int(b) for b in rng.integers(0, 2, n_pi)]
+                    for _ in range(length)
+                ],
+                schedule=schedule,
+            )
+        )
+    return tests
+
+
+def check_fault_sim(circuit: Circuit, rng: np.random.Generator) -> Optional[str]:
+    """Parallel-fault ``simulate_grouped`` vs single-fault re-simulation.
+
+    Samples at most 64 faults of the uncollapsed universe; a fault must
+    be reported detected iff its faulty machine differs from the
+    fault-free machine on some test (POs, shifted-out bits, final state).
+    """
+    if circuit.num_gates == 0 or circuit.num_gates > _FAULT_SIM_GATE_CAP:
+        return None
+    graph = FaultGraph(circuit)
+    model = graph.model
+    universe = generate_faults(circuit)
+    n_faults = min(_FAULT_SIM_MAX_FAULTS, len(universe))
+    picks = np.sort(rng.choice(len(universe), size=n_faults, replace=False))
+    faults = [universe[int(i)] for i in picks]
+    tests = _random_tests(rng, len(model.q_idx), len(model.pi_idx))
+
+    got = set(FaultSimulator(graph).simulate_grouped(tests, faults))
+
+    def observed(trace):
+        return trace.outputs, trace.scanout, trace.states[-1]
+
+    good = [
+        observed(simulate_test(model, t.si, t.vectors, schedule=t.schedule))
+        for t in tests
+    ]
+    for fault in faults:
+        inj = Injections.build_whole_word(
+            [(graph.signal_of(fault), 0, fault.value)], model.level_of_signal
+        )
+        expected = any(
+            observed(
+                simulate_test(
+                    model, t.si, t.vectors, schedule=t.schedule, injections=inj
+                )
+            )
+            != ref
+            for t, ref in zip(tests, good)
+        )
+        if (fault in got) != expected:
+            return (
+                f"simulate_grouped {'missed' if expected else 'invented'} "
+                f"a detection of {fault}; single-fault re-simulation "
+                f"{'detects' if expected else 'does not detect'} it"
+            )
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Scan and cost-model invariants
 # ---------------------------------------------------------------------------
@@ -237,13 +326,25 @@ def check_cost_model(rng: np.random.Generator) -> Optional[str]:
 # Battery
 # ---------------------------------------------------------------------------
 
-def run_oracles(text: str, rng: np.random.Generator) -> OracleOutcome:
+def run_oracles(
+    text: str,
+    rng: np.random.Generator,
+    fault_rng: Optional[np.random.Generator] = None,
+) -> OracleOutcome:
     """Run the full oracle battery on one ``.bench`` source.
 
     Order matters: the parse contract decides whether the structural
     oracles apply; the parameter-space oracles (scan, cost model) run on
     every case so they keep fuzzing even when most inputs are rejects.
+
+    The fault-simulation oracle draws from ``fault_rng``, its own lane,
+    so the other oracles' draws from ``rng`` do not depend on it; by
+    default the lane is seeded from the case text.
     """
+    if fault_rng is None:
+        fault_rng = np.random.Generator(
+            np.random.PCG64(zlib.crc32(text.encode("utf-8", "replace")))
+        )
     outcome = OracleOutcome()
     circuit, violation, codes = check_parse_contract(text)
     outcome.parsed = circuit if violation is None else None
@@ -253,6 +354,7 @@ def run_oracles(text: str, rng: np.random.Generator) -> OracleOutcome:
         outcome.add("bench-roundtrip", check_bench_roundtrip(circuit))
         outcome.add("verilog-roundtrip", check_verilog_roundtrip(circuit))
         outcome.add("sim-equivalence", check_sim_equivalence(circuit, rng))
+        outcome.add("fault-sim", check_fault_sim(circuit, fault_rng))
     outcome.add("scan-invariants", check_scan_invariants(rng))
     outcome.add("cost-model", check_cost_model(rng))
     return outcome

@@ -217,7 +217,9 @@ def execute_case_inline(text: str, seed: int, case_id: int) -> Dict[str, Any]:
     """
     rng = _case_rng(seed, case_id, "oracle")
     try:
-        outcome = run_oracles(text, rng)
+        outcome = run_oracles(
+            text, rng, fault_rng=_case_rng(seed, case_id, "fault-sim")
+        )
     except MemoryError:
         raise  # the sandbox converts this to an 'oom' verdict
     except Exception as exc:  # noqa: BLE001 - crashes are data here

@@ -15,8 +15,11 @@ exceptions or circuits), so a corrupted child cannot poison the parent.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
+
+from repro.robustness.lifetime import arm_pdeathsig
 
 try:  # pragma: no cover - non-POSIX fallback
     import resource
@@ -39,42 +42,19 @@ class SandboxVerdict:
     detail: str = ""
 
 
-def _arm_pdeathsig() -> None:
-    """Die with the parent: Linux ``PR_SET_PDEATHSIG`` (best-effort).
-
-    A sandboxed job whose parent service is SIGKILLed must not linger
-    as an orphan -- an orphan would keep appending to the job's
-    checkpoint journal while the restarted service resumes from it.
-    On Linux the kernel delivers SIGKILL to the child the moment the
-    parent (strictly: the forking thread) dies; elsewhere this is a
-    no-op and callers fall back on wall-clock budgets.
-    """
-    try:
-        import ctypes
-        import signal as _signal
-
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl(1, _signal.SIGKILL, 0, 0, 0)  # PR_SET_PDEATHSIG
-    except Exception:  # pragma: no cover - non-Linux / no libc
-        return
-    # The parent may have died between fork and prctl; a reparented
-    # child never gets the signal, so check once explicitly.
-    import os as _os
-
-    if _os.getppid() == 1:  # pragma: no cover - microscopic race window
-        _os._exit(1)
-
-
 def _child_entry(
     conn,
     fn: Callable[..., Dict[str, Any]],
     args: tuple,
     mem_bytes: Optional[int],
-    pdeathsig: bool = False,
+    parent_pid: Optional[int] = None,
 ) -> None:
-    """Runs in the forked child: apply limits, run, ship the dict back."""
-    if pdeathsig:
-        _arm_pdeathsig()
+    """Runs in the forked child: apply limits, run, ship the dict back.
+
+    With ``parent_pid`` the child dies with that parent (see
+    :func:`repro.robustness.lifetime.arm_pdeathsig`)."""
+    if parent_pid is not None:
+        arm_pdeathsig(parent_pid)
     if mem_bytes and resource is not None:
         try:
             resource.setrlimit(resource.RLIMIT_AS, (mem_bytes, mem_bytes))
@@ -117,7 +97,8 @@ def run_sandboxed(
     ctx = mp.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
-        target=_child_entry, args=(child_conn, fn, args, mem_bytes, pdeathsig)
+        target=_child_entry,
+        args=(child_conn, fn, args, mem_bytes, os.getpid() if pdeathsig else None),
     )
     proc.start()
     if on_start is not None:

@@ -16,6 +16,8 @@ small amount of journaled state.
   exercised by ordinary tests.
 - :mod:`repro.robustness.atomic` -- atomic file writes for results,
   manifests, and journal headers.
+- :mod:`repro.robustness.lifetime` -- worker processes that die with
+  their parent (``PR_SET_PDEATHSIG``).
 """
 
 from repro.robustness.atomic import (

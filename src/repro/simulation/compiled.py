@@ -98,39 +98,57 @@ class Injections:
     )
 
     @staticmethod
+    def from_arrays(
+        sigs: Any,
+        words: Any,
+        bits: Any,
+        values: Any,
+        level_of_signal: Sequence[int],
+        n_blocks: int = 1,
+        stride: int = 0,
+    ) -> "Injections":
+        """Build from parallel arrays: entry ``i`` forces bit ``bits[i]``
+        of ``(sigs[i], words[i])`` to ``values[i]``.
+
+        Entries hitting the same (signal, word) pair are merged into one
+        mask so the fancy-indexed application never writes a location
+        twice (numpy would keep only the last write); a bit forced to
+        both values ends up 1.  The merged masks are then repeated for
+        ``n_blocks`` blocks, block ``b`` shifted by ``b * stride`` words
+        (``stride`` must exceed every word index, so blocks never
+        collide).  No Python code runs per entry or per block.
+        """
+        sigs = np.asarray(sigs, dtype=np.intp)
+        words = np.asarray(words, dtype=np.intp)
+        if not len(sigs):
+            return Injections()
+        bitmask = np.left_shift(np.uint64(1), np.asarray(bits, dtype=np.uint64))
+        n_words = int(words.max()) + 1
+        keys, inverse = np.unique(sigs * n_words + words, return_inverse=True)
+        forced = np.zeros(len(keys), dtype=np.uint64)
+        np.bitwise_or.at(forced, inverse, bitmask)
+        ors = np.zeros(len(keys), dtype=np.uint64)
+        np.bitwise_or.at(
+            ors, inverse, np.where(np.asarray(values) != 0, bitmask, np.uint64(0))
+        )
+        m_sigs, m_words = np.divmod(keys, n_words)
+        if n_blocks > 1:
+            shifts = np.arange(n_blocks, dtype=np.intp) * stride
+            m_words = (m_words[None, :] + shifts[:, None]).reshape(-1)
+            m_sigs = np.tile(m_sigs, n_blocks)
+            forced = np.tile(forced, n_blocks)
+            ors = np.tile(ors, n_blocks)
+        return Injections._by_level(m_sigs, m_words, ~forced, ors, level_of_signal)
+
+    @staticmethod
     def build(
         entries: Sequence[Tuple[int, int, int, int]],
         level_of_signal: Sequence[int],
     ) -> "Injections":
-        """Build from ``(sig_index, word_index, bit_index, stuck_value)``.
-
-        Entries hitting the same (signal, word) pair are merged into one
-        mask so the fancy-indexed application never writes a location
-        twice (numpy would keep only the last write).
-        """
-        merged: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for sig, word, bit, value in entries:
-            sig, word, bit = int(sig), int(word), int(bit)
-            and_mask, or_mask = merged.get((sig, word), (int(ALL_ONES), 0))
-            bitmask = 1 << bit
-            and_mask &= ~bitmask & int(ALL_ONES)
-            if value:
-                or_mask |= bitmask
-            merged[(sig, word)] = (and_mask, or_mask)
-
-        by_level: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        for (sig, word), (and_mask, or_mask) in merged.items():
-            lvl = level_of_signal[sig]
-            by_level.setdefault(lvl, []).append((sig, word, and_mask, or_mask))
-
-        inj = Injections()
-        for lvl, rows in by_level.items():
-            sigs = np.array([r[0] for r in rows], dtype=np.intp)
-            words = np.array([r[1] for r in rows], dtype=np.intp)
-            ands = np.array([r[2] for r in rows], dtype=np.uint64)
-            ors = np.array([r[3] for r in rows], dtype=np.uint64)
-            inj.per_level[lvl] = (sigs, words, ands, ors)
-        return inj
+        """Build from ``(sig_index, word_index, bit_index, stuck_value)``
+        rows; the merge is :meth:`from_arrays`'s."""
+        cols = np.asarray(entries, dtype=np.int64).reshape(-1, 4).T
+        return Injections.from_arrays(*cols, level_of_signal)
 
     @staticmethod
     def build_whole_word(
@@ -140,18 +158,35 @@ class Injections:
         """Build from ``(sig_index, word_index, stuck_value)``, forcing all
         64 bits of the word.  Used when a word models a single machine
         (e.g. the scalar faulty-machine simulation behind Table 1)."""
-        by_level: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        for sig, word, value in entries:
-            lvl = level_of_signal[sig]
-            or_mask = int(ALL_ONES) if value else 0
-            by_level.setdefault(lvl, []).append((sig, word, 0, or_mask))
+        sigs, words, values = np.asarray(entries, dtype=np.int64).reshape(-1, 3).T
+        ors = np.where(values != 0, ALL_ONES, np.uint64(0))
+        return Injections._by_level(
+            sigs, words, np.zeros(len(sigs), dtype=np.uint64), ors, level_of_signal
+        )
+
+    @staticmethod
+    def _by_level(
+        sigs: np.ndarray,
+        words: np.ndarray,
+        ands: np.ndarray,
+        ors: np.ndarray,
+        level_of_signal: Sequence[int],
+    ) -> "Injections":
+        """Split mask rows by the level of their signal."""
         inj = Injections()
-        for lvl, rows in by_level.items():
-            sigs = np.array([r[0] for r in rows], dtype=np.intp)
-            words = np.array([r[1] for r in rows], dtype=np.intp)
-            ands = np.array([r[2] for r in rows], dtype=np.uint64)
-            ors = np.array([r[3] for r in rows], dtype=np.uint64)
-            inj.per_level[lvl] = (sigs, words, ands, ors)
+        sigs = sigs.astype(np.intp, copy=False)
+        levels = np.asarray(level_of_signal, dtype=np.intp)[sigs]
+        order = np.argsort(levels, kind="stable")
+        lvls, starts = np.unique(levels[order], return_index=True)
+        bounds = starts[1:].tolist() + [len(order)]
+        for lvl, lo, hi in zip(lvls.tolist(), starts.tolist(), bounds):
+            rows = order[lo:hi]
+            inj.per_level[lvl] = (
+                sigs[rows],
+                words[rows].astype(np.intp, copy=False),
+                ands[rows],
+                ors[rows],
+            )
         return inj
 
     def apply(self, vals: np.ndarray, level: int) -> None:

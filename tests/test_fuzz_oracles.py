@@ -5,10 +5,13 @@ import pytest
 
 from repro.bench_circuits.s27 import S27_BENCH
 from repro.circuit.bench_parser import parse_bench
+from repro.faults.fault_sim import FaultSimulator
+from repro.fuzz.generator import GeneratorSpace, generate_bench
 from repro.fuzz.oracles import (
     OracleOutcome,
     check_bench_roundtrip,
     check_cost_model,
+    check_fault_sim,
     check_parse_contract,
     check_scan_invariants,
     check_sim_equivalence,
@@ -68,6 +71,36 @@ class TestDifferentialSim:
 
     def test_combinational_equivalence(self):
         assert check_sim_equivalence(parse_bench(GOOD), rng_for(1)) is None
+
+
+class TestFaultSimOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_s27_holds(self, seed):
+        assert check_fault_sim(parse_bench(S27_BENCH), rng_for(seed)) is None
+
+    def test_generated_netlists_hold(self):
+        for seed in range(10):
+            text = generate_bench(rng_for(seed), GeneratorSpace(n_gates=(1, 40)))
+            assert check_fault_sim(parse_bench(text), rng_for(seed)) is None
+
+    def test_catches_a_dropped_detection(self, monkeypatch):
+        grouped = FaultSimulator.simulate_grouped
+
+        def drop_one(self, tests, faults, *args, **kwargs):
+            hits = grouped(self, tests, faults, *args, **kwargs)
+            hits.pop(next(iter(hits)), None)
+            return hits
+
+        monkeypatch.setattr(FaultSimulator, "simulate_grouped", drop_one)
+        message = check_fault_sim(parse_bench(S27_BENCH), rng_for(0))
+        assert message is not None and "missed" in message
+
+    def test_own_lane_leaves_other_draws_alone(self):
+        """The fault-sim oracle never draws from the battery's rng."""
+        a, b = rng_for(5), rng_for(5)
+        run_oracles(S27_BENCH, a, fault_rng=rng_for(1))
+        run_oracles(S27_BENCH, b, fault_rng=rng_for(2))
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestParameterOracles:

@@ -13,11 +13,18 @@ All tests are marked ``chaos`` (run with ``-m chaos``).
 from __future__ import annotations
 
 import glob
+import json
 import os
+import select
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.core.config import BistConfig
 from repro.core.limited_scan import build_limited_scan_test_set
@@ -192,3 +199,81 @@ class TestChaosDeterminism:
                      for e in ev.degradation.events]
                 )
         assert reports[0] == reports[1]
+
+
+#: Drives a 2-worker pool of the given kind, prints the worker pids (and
+#: the persistent pool's segment name) as one JSON line, then waits to be
+#: killed.  argv: <src-dir> <persistent|sharded>.
+POOL_CHILD = """\
+import json, os, sys, time
+
+sys.path.insert(0, sys.argv[1])
+from repro.faults.pool import PersistentWorkerPool
+from repro.faults.sharding import SimulatorPool
+
+if sys.argv[2] == "persistent":
+    pool = PersistentWorkerPool({}, 2, "lifetime0000")
+    segment = pool.segment_name
+else:
+    pool = SimulatorPool({}, 2)
+    segment = None
+executor = pool._ensure_executor()
+executor.submit(os.getpid).result()
+print(json.dumps({"pids": sorted(executor._processes), "segment": segment}),
+      flush=True)
+time.sleep(600)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Running or sleeping; a zombie awaiting its reaper counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs Linux PR_SET_PDEATHSIG"
+)
+class TestWorkersDieWithParent:
+    @pytest.mark.parametrize("kind", ["persistent", "sharded"])
+    def test_sigkilled_parent_takes_its_workers(self, tmp_path, kind):
+        script = tmp_path / "pool_child.py"
+        script.write_text(POOL_CHILD)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, str(script), src, kind],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        pids = []
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+            assert ready, "the pool child never reported its workers"
+            info = json.loads(proc.stdout.readline())
+            pids = info["pids"]
+            assert pids and all(_alive(pid) for pid in pids)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_alive, pids)):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _alive(pid)], (
+                "pool workers outlived their SIGKILLed parent"
+            )
+            # With every worker gone the resource tracker unlinks the
+            # dead parent's segment.
+            segment = f"/dev/shm/{info['segment']}"
+            while info["segment"] and time.monotonic() < deadline + 5.0:
+                if not os.path.exists(segment):
+                    break
+                time.sleep(0.05)
+            assert not (info["segment"] and os.path.exists(segment))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
