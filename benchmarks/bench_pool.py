@@ -1,10 +1,8 @@
-"""Persistent worker pool vs. legacy sharding vs. serial Procedure 2.
+"""Persistent worker pool vs. serial Procedure 2.
 
 Measures wall-clock time of complete Procedure 2 runs on the serial
-simulator, on the legacy per-dispatch sharded executor
-(``pool="sharded"``) and on the persistent shared-memory worker pool
-(``pool="persistent"``) across an ``n_jobs`` x ``candidate_batch``
-grid, and verifies every parallel/batched result is byte-identical to
+simulator and on the persistent shared-memory worker pool across an
+``n_jobs`` x ``candidate_batch`` grid, and verifies every parallel/batched result is byte-identical to
 the serial run (config and execution metadata normalized out).  The
 measured table is written as ``BENCH_pool.json`` so speedups are
 tracked in-repo rather than anecdotal.
@@ -65,27 +63,17 @@ SMOKE_WORKLOADS = [
 #: and repeats would be expensive.
 SMOKE_REPEATS = 2
 
-#: (mode, n_jobs, candidate_batch) rows measured against each workload.
-#: ``pool`` with ``n_jobs=1`` exercises the in-process batched pass.
-FULL_GRID = [
-    ("sharded", 4, 1),
-    ("pool", 1, 10),
-    ("pool", 2, 10),
-    ("pool", 4, 10),
-    ("pool", 4, 1),
-]
+#: (n_jobs, candidate_batch) pool rows measured against each workload.
+#: ``n_jobs=1`` exercises the in-process batched pass.
+FULL_GRID = [(1, 10), (2, 10), (4, 10), (4, 1)]
 
-SMOKE_GRID = [
-    ("sharded", 2, 1),
-    ("pool", 1, 8),
-    ("pool", 2, 8),
-]
+SMOKE_GRID = [(1, 8), (2, 8)]
 
 
 def _canonical_blob(result: Any, reference_config: BistConfig) -> bytes:
     """The result's scientific payload, execution metadata removed.
 
-    ``config`` differs across rows by construction (``n_jobs``/``pool``/
+    ``config`` differs across rows by construction (``n_jobs`` and
     ``candidate_batch`` are execution knobs) and ``degradation`` is
     explicitly execution metadata, so both are normalized before the
     byte comparison.
@@ -141,19 +129,14 @@ def run_grid(smoke: bool) -> Dict[str, Any]:
                 "degraded": False,
             }
         )
-        for mode, jobs, batch in grid:
-            cfg = BistConfig(
-                **base,
-                n_jobs=jobs,
-                pool="persistent" if mode == "pool" else mode,
-                candidate_batch=batch,
-            )
+        for jobs, batch in grid:
+            cfg = BistConfig(**base, n_jobs=jobs, candidate_batch=batch)
             res, seconds = _timed_run(circuit, cfg, faults, repeats)
             degraded = bool(res.degradation and res.degradation.degraded)
             rows.append(
                 {
                     "circuit": name,
-                    "mode": mode,
+                    "mode": "pool",
                     "n_jobs": jobs,
                     "candidate_batch": batch,
                     "seconds": round(seconds, 3),
@@ -164,7 +147,7 @@ def run_grid(smoke: bool) -> Dict[str, Any]:
                 }
             )
             print(
-                f"{name} {mode} jobs={jobs} batch={batch}: "
+                f"{name} pool jobs={jobs} batch={batch}: "
                 f"{seconds:.2f}s ({serial_s / seconds:.2f}x) "
                 f"identical={rows[-1]['identical_to_serial']}",
                 flush=True,

@@ -144,7 +144,7 @@ def bench_procedure(
         (
             "pool-warm",
             dataclasses.replace(
-                serial_cfg, n_jobs=2, pool="persistent", candidate_batch=4
+                serial_cfg, n_jobs=2, candidate_batch=4
             ),
         ),
     ]

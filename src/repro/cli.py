@@ -55,6 +55,10 @@ class IngestionError(KeyError):
         return str(self.args[0]) if self.args else ""
 
 
+class ConfigError(ValueError):
+    """A ``run``/``first-complete`` option value the config rejects."""
+
+
 def resolve_circuit(spec: str) -> Circuit:
     """A catalog name, or a path ending in .bench / .v.
 
@@ -202,22 +206,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> BistConfig:
-    return BistConfig(
-        la=args.la,
-        lb=args.lb,
-        n=args.n,
-        base_seed=args.seed,
-        d1_values=(
-            D1_DECREASING if args.d1_order == "decreasing" else D1_INCREASING
-        ),
-        max_iterations=args.max_iterations,
-        candidate_bias=args.candidate_bias,
-        n_jobs=args.jobs,
-        pool=args.pool,
-        candidate_batch=args.candidate_batch,
-        shard_timeout=args.shard_timeout,
-        shard_retries=args.shard_retries,
-    )
+    try:
+        return BistConfig(
+            la=args.la,
+            lb=args.lb,
+            n=args.n,
+            base_seed=args.seed,
+            d1_values=(
+                D1_DECREASING if args.d1_order == "decreasing"
+                else D1_INCREASING
+            ),
+            max_iterations=args.max_iterations,
+            candidate_bias=args.candidate_bias,
+            n_jobs=args.jobs,
+            candidate_batch=args.candidate_batch,
+            shard_timeout=args.shard_timeout,
+            shard_retries=args.shard_retries,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _bist_from_args(args: argparse.Namespace, circuit: Circuit,
@@ -497,11 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1,
                        help="fault-simulation worker processes "
                             "(1 = serial, -1 = all cores)")
-        p.add_argument("--pool", choices=("persistent", "sharded"),
-                       default="persistent",
-                       help="parallel back end for --jobs > 1: the "
-                            "persistent shared-memory worker pool or the "
-                            "legacy per-dispatch sharded executor")
         p.add_argument("--candidate-batch", type=int, default=1,
                        metavar="N", dest="candidate_batch",
                        help="candidate test sets evaluated per "
@@ -636,7 +638,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IngestionError as exc:
+    except (IngestionError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,19 +48,12 @@ class BistConfig:
             :class:`repro.analysis.LintError`, ``'off'`` skips the
             check.  Like ``n_jobs`` it never changes results on valid
             circuits and is excluded from serialized configurations.
-        shard_timeout: seconds the sharded simulator waits for a
+        shard_timeout: seconds the worker pool waits for a
             dispatch's worker shards before declaring the laggards hung
             and respawning the pool; ``None`` waits forever.  Execution
             knob (recovery re-runs the same deterministic work).
         shard_retries: parallel re-attempts for a failed shard before it
             is re-executed serially in the parent.  Execution knob.
-        pool: which parallel back-end serves fault simulation when
-            ``n_jobs > 1``: ``'persistent'`` (default) keeps one worker
-            pool alive for the whole Procedure 2 run with the circuit
-            and fault list published once through shared memory (see
-            :mod:`repro.faults.pool`); ``'sharded'`` is the legacy
-            per-dispatch :class:`~repro.faults.sharding.ShardedFaultSimulator`.
-            Execution knob: results are byte-identical either way.
         candidate_batch: how many ``(I, D1)`` candidate test sets
             Procedure 2 scores per fault-simulation dispatch.  1
             (default) evaluates candidates one by one; larger values
@@ -99,7 +92,6 @@ class BistConfig:
     lint: str = "warn"
     shard_timeout: Optional[float] = None
     shard_retries: int = 2
-    pool: str = "persistent"
     candidate_batch: int = 1
     candidate_bias: str = "uniform"
 
@@ -126,8 +118,6 @@ class BistConfig:
             raise ValueError("shard_timeout must be positive, or None")
         if self.shard_retries < 0:
             raise ValueError("shard_retries must be >= 0")
-        if self.pool not in ("persistent", "sharded"):
-            raise ValueError("pool must be 'persistent' or 'sharded'")
         if self.candidate_batch < 1:
             raise ValueError("candidate_batch must be >= 1")
         if self.candidate_bias not in ("uniform", "testability"):
@@ -143,11 +133,11 @@ class BistConfig:
         """The result-affecting parameters as a JSON-compatible dict.
 
         Execution knobs (``n_jobs``, ``lint``, ``shard_timeout``,
-        ``shard_retries``, ``pool``, ``candidate_batch``) are
-        intentionally omitted: they never change results on valid
-        circuits, so serialized outputs and checkpoint journals stay
-        byte-identical across serial/parallel, lint-mode, pool-backend,
-        batching, and recovery-policy variations.  ``candidate_bias``
+        ``shard_retries``, ``candidate_batch``) are intentionally
+        omitted: they never change results on valid circuits, so
+        serialized outputs and checkpoint journals stay byte-identical
+        across serial/parallel, lint-mode, batching, and
+        recovery-policy variations.  ``candidate_bias``
         is also omitted -- see its attribute docs: the selected pairs
         are the result, the search order that found them is provenance,
         and a resume re-derives it deterministically from the circuit.

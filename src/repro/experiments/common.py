@@ -13,16 +13,14 @@ from repro.bench_circuits import load_circuit
 from repro.core.config import BistConfig
 from repro.core.session import LimitedScanBist
 
-_SESSIONS: Dict[Tuple[str, int, int, str, int, str], LimitedScanBist] = {}
+_SESSIONS: Dict[Tuple[str, int, int, int, str], LimitedScanBist] = {}
 
 #: Default fault-simulation parallelism for experiment sessions; set by
 #: the runner's ``--jobs`` flag.  Results are identical for any value.
 _DEFAULT_N_JOBS = 1
 
-#: Parallel back end and candidate batching for experiment sessions; set
-#: by the runner's ``--pool`` / ``--candidate-batch`` flags.  Neither
-#: knob changes results, only wall-clock time.
-_DEFAULT_POOL = "persistent"
+#: Candidate batching for experiment sessions; set by the runner's
+#: ``--candidate-batch`` flag.  It changes wall-clock time, not results.
 _DEFAULT_CANDIDATE_BATCH = 1
 
 #: Candidate search order for experiment sessions; set by the runner's
@@ -36,12 +34,6 @@ def set_default_n_jobs(n_jobs: int) -> None:
     """Set the ``n_jobs`` used by sessions created after this call."""
     global _DEFAULT_N_JOBS
     _DEFAULT_N_JOBS = n_jobs
-
-
-def set_default_pool(pool: str) -> None:
-    """Set the parallel back end for sessions created after this call."""
-    global _DEFAULT_POOL
-    _DEFAULT_POOL = pool
 
 
 def set_default_candidate_batch(batch: int) -> None:
@@ -64,8 +56,8 @@ def default_candidate_bias() -> str:
 def bist_for(name: str, base_seed: int = 20010618) -> LimitedScanBist:
     """A cached :class:`LimitedScanBist` session for a catalog circuit."""
     key = (
-        name, base_seed, _DEFAULT_N_JOBS, _DEFAULT_POOL,
-        _DEFAULT_CANDIDATE_BATCH, _DEFAULT_CANDIDATE_BIAS,
+        name, base_seed, _DEFAULT_N_JOBS, _DEFAULT_CANDIDATE_BATCH,
+        _DEFAULT_CANDIDATE_BIAS,
     )
     if key not in _SESSIONS:
         _SESSIONS[key] = LimitedScanBist(
@@ -73,7 +65,6 @@ def bist_for(name: str, base_seed: int = 20010618) -> LimitedScanBist:
             config=BistConfig(
                 base_seed=base_seed,
                 n_jobs=_DEFAULT_N_JOBS,
-                pool=_DEFAULT_POOL,
                 candidate_batch=_DEFAULT_CANDIDATE_BATCH,
                 candidate_bias=_DEFAULT_CANDIDATE_BIAS,
             ),

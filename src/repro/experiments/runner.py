@@ -50,7 +50,6 @@ from repro.experiments.common import (
     set_default_candidate_batch,
     set_default_candidate_bias,
     set_default_n_jobs,
-    set_default_pool,
 )
 from repro.experiments.report import canonical_result_name
 from repro.robustness.atomic import atomic_write_json, atomic_write_text
@@ -228,12 +227,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "cores); results are identical for any value",
     )
     parser.add_argument(
-        "--pool", choices=("persistent", "sharded"), default="persistent",
-        help="parallel back end for --jobs > 1: the persistent "
-             "shared-memory worker pool or the legacy per-dispatch "
-             "sharded executor",
-    )
-    parser.add_argument(
         "--candidate-batch", type=int, default=1, metavar="N",
         dest="candidate_batch",
         help="candidate test sets evaluated per simulation pass; "
@@ -264,7 +257,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         list(argv) if argv is not None else None
     )
     set_default_n_jobs(args.jobs)
-    set_default_pool(args.pool)
     set_default_candidate_batch(args.candidate_batch)
     set_default_candidate_bias(args.candidate_bias)
     out_dir: Path = args.out

@@ -10,8 +10,10 @@
   final scan-out,
 - :mod:`repro.faults.ppsfp` -- parallel-pattern single-fault propagation
   for the purely combinational (single-vector, full-scan) setting,
-- :mod:`repro.faults.sharding` -- word-aligned fault-list sharding across
-  a worker-process pool, with a deterministic merge and serial fallback.
+- :mod:`repro.faults.pool` -- the persistent shared-memory worker pool
+  that scores Procedure 2's candidate test sets in parallel,
+- :mod:`repro.faults.sharding` -- word-aligned fault-list sharding, worker
+  sizing and the shard-granular recovery policy the pool uses.
 """
 
 from repro.faults.model import Fault, FaultGraph, generate_faults
@@ -28,7 +30,7 @@ from repro.faults.transition import (
     generate_transition_faults,
 )
 from repro.faults.dictionary import FaultDictionary, build_dictionary, diagnose
-from repro.faults.sharding import ShardedFaultSimulator, resolve_n_jobs, shard_faults
+from repro.faults.sharding import resolve_n_jobs, shard_faults
 
 __all__ = [
     "Fault",
@@ -45,7 +47,6 @@ __all__ = [
     "FaultDictionary",
     "build_dictionary",
     "diagnose",
-    "ShardedFaultSimulator",
     "resolve_n_jobs",
     "shard_faults",
 ]

@@ -589,23 +589,6 @@ class FaultSimulator:
             counts[i] = int(np.bitwise_count(diff).sum())
         return counts
 
-    def sharded(
-        self, n_jobs: int, recovery=None, chaos=None
-    ) -> "ShardedFaultSimulator":
-        """A fault-sharded parallel front-end over this simulator.
-
-        The returned object has the same simulate surface; close it (or
-        use it as a context manager) to release the worker pool.
-        ``n_jobs=1`` returns a front-end that runs everything serially.
-        ``recovery`` is a :class:`~repro.faults.sharding.RecoveryPolicy`
-        governing shard retries/timeouts; ``chaos`` deterministically
-        injects worker failures for testing (see
-        :mod:`repro.robustness.chaos`).
-        """
-        from repro.faults.sharding import ShardedFaultSimulator
-
-        return ShardedFaultSimulator(self, n_jobs, recovery=recovery, chaos=chaos)
-
     # ------------------------------------------------------------------
     def _check_test(self, test: ScanTest) -> None:
         if len(test.si) != self.chain_length:

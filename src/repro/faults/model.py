@@ -179,9 +179,3 @@ class FaultGraph:
         return np.fromiter(
             map(memo.__getitem__, faults), dtype=np.intp, count=len(faults)
         )
-
-    def injection_entry(
-        self, fault: Fault, word: int, bit: int
-    ) -> Tuple[int, int, int, int]:
-        """The ``Injections.build`` row placing ``fault`` at (word, bit)."""
-        return (self.signal_of(fault), word, bit, fault.value)

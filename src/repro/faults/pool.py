@@ -1,10 +1,10 @@
 """Persistent shared-memory worker pool with batched candidate evaluation.
 
-The legacy :mod:`repro.faults.sharding` path pays two per-dispatch taxes
-that dominate Procedure 2's wall clock: the worker pool is rebuilt (and
-the simulator re-pickled) around every fault-simulation call, and every
-task ships the full test list through the executor's pickle channel.
-This module removes both, and adds a third, larger lever:
+A worker pool rebuilt around every fault-simulation call pays two
+per-dispatch taxes that would dominate Procedure 2's wall clock: the
+simulator is re-pickled for every pool, and every task ships the full
+test list through the executor's pickle channel.  This module avoids
+both, and adds a third, larger lever:
 
 - **Persistent workers.**  One pool lives for the whole
   :func:`~repro.core.procedure2.run_procedure2` session.  The compiled
@@ -45,11 +45,11 @@ SIGKILLed the resource-tracker process (which outlives it) unlinks the
 registered segment.  Workers only ever attach and never unregister, so
 a SIGKILLed worker cannot strip the parent's protection.
 
-Failure recovery mirrors the legacy path's shard-granular
-:class:`~repro.faults.sharding.RecoveryPolicy` semantics: per-shard
-timeout watchdog, deterministic seeded backoff retries, pool respawn
-after a crash or hang (the shared segment survives respawn), serial
-rescue in the parent for a shard that keeps failing, and a structured
+Failure recovery is shard-granular, governed by a
+:class:`~repro.faults.sharding.RecoveryPolicy`: per-shard timeout
+watchdog, deterministic seeded backoff retries, pool respawn after a
+crash or hang (the shared segment survives respawn), serial rescue in
+the parent for a shard that keeps failing, and a structured
 :class:`~repro.robustness.degradation.DegradationReport` of every
 action.
 """
@@ -436,10 +436,10 @@ class LazyTable(_Table):
     """Per-candidate result that defers to ``simulate_grouped``.
 
     The compatibility path: used for simulators without
-    :meth:`simulate_candidates` (wrappers, the legacy sharded front-end)
-    and whenever the batched pass's exactness preconditions fail.  One
-    :meth:`hits_for` call issues exactly one ``simulate_grouped`` call,
-    so dispatch counts match the historical loop precisely.
+    :meth:`simulate_candidates` (test wrappers) and whenever the batched
+    pass's exactness preconditions fail.  One :meth:`hits_for` call
+    issues exactly one ``simulate_grouped`` call, so dispatch counts
+    match the historical loop precisely.
     """
 
     def __init__(self, simulator: Any, tests_src: Any, policy: Any) -> None:
@@ -490,9 +490,8 @@ class CandidateEvaluator:
     serial ``simulate_grouped`` call would have -- whichever back-end
     produced it:
 
-    - simulators without ``simulate_candidates`` (test wrappers, the
-      legacy ``pool='sharded'`` front-end): plain lazy pass-through,
-      ``batch == 1``;
+    - simulators without ``simulate_candidates`` (test wrappers): plain
+      lazy pass-through, ``batch == 1``;
     - ``n_jobs <= 1``: the in-process batched pass;
     - ``n_jobs > 1``: the :class:`PersistentWorkerPool`, shard-granular
       recovery included.
@@ -529,11 +528,7 @@ class CandidateEvaluator:
         self.shards = shards
         self.degradation = DegradationReport()
         self._can_batch = hasattr(simulator, "simulate_candidates")
-        self._use_pool = (
-            self._can_batch
-            and self.n_jobs > 1
-            and getattr(config, "pool", "persistent") == "persistent"
-        )
+        self._use_pool = self._can_batch and self.n_jobs > 1
         self._pool: Optional[PersistentWorkerPool] = None
         self._pool_unavailable = False
         self._target_pos = {f: i for i, f in enumerate(self.targets)}

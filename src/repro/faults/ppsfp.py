@@ -72,21 +72,13 @@ class CombinationalFaultSimulator:
         input_words: np.ndarray,
         faults: Sequence[Fault],
         valid_mask: np.ndarray = None,
-        n_jobs: int = 1,
     ) -> List[Fault]:
         """Faults detected by any packed pattern.
 
         ``valid_mask`` (``(n_words,)`` uint64) limits which bit positions
-        are real patterns when the count is not a multiple of 64.
-
-        ``n_jobs > 1`` shards the fault list across worker processes --
-        each fault is an independent single-fault pass, so the split is
-        embarrassingly parallel; a pool failure falls back to the serial
-        loop with a warning.  The returned order is always the input
-        fault order.
+        are real patterns when the count is not a multiple of 64.  The
+        returned order is the input fault order.
         """
-        if n_jobs != 1:
-            return self._detected_sharded(input_words, faults, valid_mask, n_jobs)
         if input_words.shape[0] != self.num_inputs:
             raise ValueError(
                 f"expected {self.num_inputs} input rows, got {input_words.shape[0]}"
@@ -111,43 +103,6 @@ class CombinationalFaultSimulator:
             if diff.any():
                 hits.append(fault)
         return hits
-
-    def _detected_sharded(
-        self,
-        input_words: np.ndarray,
-        faults: Sequence[Fault],
-        valid_mask: np.ndarray,
-        n_jobs: int,
-    ) -> List[Fault]:
-        import warnings
-
-        from repro.faults.sharding import SimulatorPool, resolve_n_jobs
-        from repro.simulation.compiled import shard_word_ranges
-
-        faults = list(faults)
-        jobs = resolve_n_jobs(n_jobs)
-        shards = [
-            faults[lo:hi] for lo, hi in shard_word_ranges(len(faults), jobs)
-        ]
-        if jobs <= 1 or len(shards) <= 1:
-            return self.detected(input_words, faults, valid_mask)
-        try:
-            with SimulatorPool(self, jobs) as pool:
-                results = pool.map_method(
-                    "detected",
-                    [((input_words, shard, valid_mask), {}) for shard in shards],
-                )
-        except Exception as exc:
-            warnings.warn(
-                f"parallel PPSFP failed ({exc!r}); "
-                "falling back to the serial loop",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return self.detected(input_words, faults, valid_mask)
-        # Shards are contiguous slices, so concatenation preserves the
-        # serial loop's input-order result.
-        return [fault for shard_hits in results for fault in shard_hits]
 
     def detection_counts(
         self, input_words: np.ndarray, faults: Sequence[Fault]

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the worker-pool recovery paths.
 
 Testing crash recovery by luck -- run long enough and eventually a
-worker dies -- is worthless; every recovery path in
-:class:`repro.faults.sharding.ShardedFaultSimulator` must be exercisable
+worker dies -- is worthless; every recovery path of the persistent pool
+(:class:`repro.faults.pool.CandidateEvaluator`) must be exercisable
 from an ordinary pytest on demand.  A :class:`ChaosPlan` names, purely as
 a function of ``(dispatch, shard, attempt)``, which shard tasks should
 

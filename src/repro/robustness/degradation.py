@@ -1,7 +1,7 @@
 """Structured degradation reporting for the parallel simulation layer.
 
 When a worker pool misbehaves -- a worker crashes, a shard times out, a
-returned payload fails validation -- the sharded simulator recovers and
+returned payload fails validation -- the worker pool recovers and
 still produces the bit-exact result, but the *fact* that it degraded is
 operationally important: a run that silently re-executed half its shards
 serially is a run whose hardware or sizing needs attention.  Instead of
@@ -64,7 +64,7 @@ class ShardEvent:
 
 @dataclass
 class DegradationReport:
-    """Every recovery action a sharded run had to take.
+    """Every recovery action a parallel run had to take.
 
     An empty report means the run never degraded; ``events`` is in
     chronological order.  ``pool_respawns`` counts how many times the

@@ -39,10 +39,10 @@ def shard_word_ranges(n_words: int, n_shards: int) -> List[Tuple[int, int]]:
 
     Returns at most ``n_shards`` half-open ``(lo, hi)`` ranges covering
     ``[0, n_words)``; empty ranges are dropped, so fewer shards than
-    requested come back when there is not enough work.  Both the
-    fault-sharded simulator and the PPSFP fault splitter use this so that
-    every shard boundary is word-aligned: a 64-fault word never straddles
-    two workers.
+    requested come back when there is not enough work.  The worker pool's
+    fault split (:func:`repro.faults.sharding.shard_faults`) uses this so
+    that every shard boundary is word-aligned: a 64-fault word never
+    straddles two workers.
     """
     if n_words < 0:
         raise ValueError(f"n_words must be non-negative, got {n_words}")

@@ -352,7 +352,9 @@ class ReferenceFaultSimulator(FaultSimulator):
         entries = []
         for word, group in enumerate(groups):
             for bit, fault in enumerate(group):
-                entries.append(self.graph.injection_entry(fault, word, bit))
+                entries.append(
+                    (self.graph.signal_of(fault), word, bit, fault.value)
+                )
         injections = build_injections(entries, model.level_of_signal)
 
         state = self._initial_state(test.si, n_words)

@@ -1,48 +1,42 @@
 """Deterministic fault-injection tests for worker-pool recovery.
 
-Every recovery path of :class:`ShardedFaultSimulator` -- worker crash,
-hung worker, corrupted shard payload, ordinary task exception, retry
-exhaustion, unconstructible pool -- is forced on demand with a
-:class:`ChaosPlan` and must end in the bit-exact serial result plus a
-structured :class:`DegradationReport` describing what happened.
+A :class:`ChaosPlan` forces worker failures on demand; a Procedure 2 run
+on the persistent pool under such a plan must end in the byte-identical
+serial result plus a structured :class:`DegradationReport` describing
+what happened.  Each recovery kind of the pool (crash, hang, corrupt
+payload, task error, retry exhaustion, unavailable pool) is covered
+shard by shard in ``tests/test_pool_robustness.py``.
 
 All tests here are marked ``chaos`` (run with ``-m chaos``); they fork
 real worker processes and some deliberately kill them.
 """
 
+import functools
 import json
 
 import pytest
 
 from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.core.config import BistConfig
+from repro.core import procedure2
 from repro.core.procedure2 import run_procedure2
 from repro.experiments.serialize import result_to_dict
 from repro.faults.collapse import collapse_faults
-from repro.faults.fault_sim import FaultSimulator
-from repro.faults.sharding import RecoveryPolicy, ShardedFaultSimulator
 from repro.robustness.chaos import ChaosError, ChaosPlan, execute_injected
 from repro.robustness.degradation import DegradationReport, ShardEvent
-from tests.test_fault_sim_grouped import mixed_tests
 
 pytestmark = pytest.mark.chaos
 
-#: No backoff sleeps and no timeout: chaos tests should be fast.
-FAST = dict(shard_timeout=None, max_retries=2, backoff_base=0.0)
-
-
 @pytest.fixture(scope="module")
 def rig():
-    """Circuit with > 128 faults (real multi-shard runs), plus oracle."""
+    """Circuit with > 128 faults (real multi-shard runs)."""
     circuit = synthesize(
         SyntheticSpec(name="mini208", n_pi=10, n_po=1, n_ff=8, n_gates=96,
                       seed=5)
     )
-    sim = FaultSimulator(circuit)
     faults = collapse_faults(circuit)
     assert len(faults) > 128  # >= 3 words: at least 3 real shards
-    tests = mixed_tests(circuit, 11)
-    return circuit, sim, faults, tests, sim.simulate(tests, faults)
+    return circuit, faults
 
 
 class TestChaosPlan:
@@ -75,116 +69,31 @@ class TestChaosPlan:
         assert execute_injected(None, 0.0, lambda: 42) == 42
 
 
-class TestShardRecovery:
-    def test_worker_crash_recovers(self, rig):
-        _, sim, faults, tests, oracle = rig
-        chaos = ChaosPlan(crash_shards=(0,))
-        with ShardedFaultSimulator(
-            sim, 2, recovery=RecoveryPolicy(**FAST), chaos=chaos
-        ) as psim:
-            assert psim.simulate(tests, faults) == oracle
-            report = psim.degradation
-        assert report.degraded
-        assert any(e.kind == "crash" for e in report.events)
-        assert report.pool_respawns >= 1
-        # The retried shard succeeded in the pool; nothing went serial.
-        assert all(e.action == "retry" for e in report.events)
-
-    def test_hung_worker_times_out_and_recovers(self, rig):
-        _, sim, faults, tests, oracle = rig
-        chaos = ChaosPlan(hang_shards=(1,), hang_seconds=60.0)
-        recovery = RecoveryPolicy(
-            shard_timeout=1.0, max_retries=1, backoff_base=0.0
-        )
-        with ShardedFaultSimulator(
-            sim, 2, recovery=recovery, chaos=chaos
-        ) as psim:
-            assert psim.simulate(tests, faults) == oracle
-            report = psim.degradation
-        assert any(e.kind == "timeout" for e in report.events)
-        assert report.pool_respawns >= 1
-
-    def test_corrupted_shard_is_rejected_and_retried(self, rig):
-        _, sim, faults, tests, oracle = rig
-        chaos = ChaosPlan(corrupt_shards=(1,))
-        with ShardedFaultSimulator(
-            sim, 3, recovery=RecoveryPolicy(**FAST), chaos=chaos
-        ) as psim:
-            records = psim.simulate(tests, faults)
-            report = psim.degradation
-        assert records == oracle
-        assert not any(f.site == "__chaos_corrupt__" for f in records)
-        # Corruption never kills the pool: exactly one clean retry event.
-        assert [(e.kind, e.action) for e in report.events] == [
-            ("invalid-result", "retry")
-        ]
-        assert report.pool_respawns == 0
-
-    def test_task_error_is_retried(self, rig):
-        _, sim, faults, tests, oracle = rig
-        chaos = ChaosPlan(error_shards=(0, 2))
-        with ShardedFaultSimulator(
-            sim, 3, recovery=RecoveryPolicy(**FAST), chaos=chaos
-        ) as psim:
-            assert psim.simulate(tests, faults) == oracle
-            report = psim.degradation
-        assert sorted((e.shard, e.kind, e.action) for e in report.events) == [
-            (0, "error", "retry"),
-            (2, "error", "retry"),
-        ]
-
-    def test_retry_exhaustion_falls_back_to_serial_shard(self, rig):
-        _, sim, faults, tests, oracle = rig
-        # Fires on every attempt; one parallel retry allowed, then the
-        # shard must be rescued serially in the parent.
-        chaos = ChaosPlan(error_shards=(1,), fire_attempts=99)
-        recovery = RecoveryPolicy(
-            shard_timeout=None, max_retries=1, backoff_base=0.0
-        )
-        with ShardedFaultSimulator(
-            sim, 2, recovery=recovery, chaos=chaos
-        ) as psim:
-            assert psim.simulate(tests, faults) == oracle
-            report = psim.degradation
-        assert [(e.attempt, e.kind, e.action) for e in report.events] == [
-            (0, "error", "retry"),
-            (1, "error", "serial"),
-        ]
-
-    def test_chaos_run_is_reproducible(self, rig):
-        _, sim, faults, tests, oracle = rig
-        chaos = ChaosPlan(corrupt_shards=(0,), error_shards=(2,))
-
-        def one_run():
-            with ShardedFaultSimulator(
-                sim, 3, recovery=RecoveryPolicy(**FAST), chaos=chaos
-            ) as psim:
-                records = psim.simulate(tests, faults)
-                return records, psim.degradation.to_dict()
-
-        first_records, first_report = one_run()
-        second_records, second_report = one_run()
-        assert first_records == oracle == second_records
-        assert first_report == second_report
-
-
 class TestProcedure2UnderChaos:
-    def test_result_byte_identical_and_degradation_attached(self, rig):
-        circuit, _, faults, _, _ = rig
+    def test_result_byte_identical_and_degradation_attached(
+        self, rig, monkeypatch
+    ):
+        circuit, faults = rig
         config = BistConfig(la=2, lb=4, n=2, n_same_fc=2, max_iterations=3)
         clean = run_procedure2(circuit, config, faults)
         assert clean.degradation is None
 
+        # Three shards per dispatch whatever the host's core count, and
+        # shard 0 of dispatches 0 (TS0) and 2 fails once.
         chaos = ChaosPlan(error_shards=(0,), dispatches=(0, 2))
-        sharded = FaultSimulator(circuit).sharded(
-            3, recovery=RecoveryPolicy(**FAST), chaos=chaos
+        monkeypatch.setattr(
+            procedure2,
+            "CandidateEvaluator",
+            functools.partial(
+                procedure2.CandidateEvaluator, chaos=chaos, shards=3
+            ),
         )
-        with sharded:
-            injected = run_procedure2(
-                circuit, config, faults, simulator=sharded
-            )
+        injected = run_procedure2(circuit, config, faults, n_jobs=3)
         assert injected.degradation is not None
-        assert injected.degradation.degraded
+        assert [
+            (e.dispatch, e.shard, e.kind, e.action)
+            for e in injected.degradation.events
+        ] == [(0, 0, "error", "retry"), (2, 0, "error", "retry")]
         # The serialized result is execution-independent: no degradation
         # key, and byte-identical to the clean serial run.
         clean_blob = json.dumps(result_to_dict(clean))

@@ -295,18 +295,30 @@ class TestResumeByteIdentity:
         resumed = resume_procedure2(circuit, RIG_CONFIG, faults, str(path))
         assert blob(resumed) == clean_blob
 
-    def test_parallel_interrupt_parallel_resume(self, rig, tmp_path):
+    def test_parallel_interrupt_parallel_resume(
+        self, rig, tmp_path, monkeypatch
+    ):
+        # A simulator wrapper would hide simulate_candidates and keep the
+        # run off the pool, so interrupt at the journal instead: the
+        # fourth iteration's commit never lands.
         circuit, faults, clean_blob = rig
         path = tmp_path / "j.jsonl"
-        base = FaultSimulator(circuit).sharded(4)
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                run_procedure2(
-                    circuit, RIG_CONFIG, faults,
-                    simulator=Interrupting(base, 9), checkpoint=str(path),
-                )
-        finally:
-            base.close()
+        commit = CheckpointWriter.commit_iteration
+
+        def interrupting_commit(writer, iteration, *args, **kwargs):
+            if iteration == 4:
+                raise KeyboardInterrupt
+            return commit(writer, iteration, *args, **kwargs)
+
+        monkeypatch.setattr(
+            CheckpointWriter, "commit_iteration", interrupting_commit
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_procedure2(
+                circuit, RIG_CONFIG, faults, n_jobs=4, checkpoint=str(path)
+            )
+        monkeypatch.undo()
+        assert load_checkpoint(path).cursor[0] == 3
         resumed = resume_procedure2(
             circuit, RIG_CONFIG, faults, str(path), n_jobs=4
         )
@@ -329,7 +341,7 @@ class TestResumeByteIdentity:
 
 
 #: Child process used by the signal tests: runs the rig checkpointed,
-#: with every simulation call slowed so the parent can reliably land a
+#: with every iteration commit slowed so the parent can reliably land a
 #: signal mid-run.  argv: <src-dir> <journal> <n_jobs> <sleep-seconds>.
 CHILD_SCRIPT = """\
 import sys, time
@@ -343,32 +355,22 @@ from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.core.config import BistConfig
 from repro.core.procedure2 import run_procedure2
 from repro.faults.collapse import collapse_faults
-from repro.faults.fault_sim import FaultSimulator
+from repro.robustness.checkpoint import CheckpointWriter
 
 circuit = synthesize(SyntheticSpec(
     name="mini208", n_pi=10, n_po=1, n_ff=8, n_gates=96, seed=5))
 config = BistConfig(la=2, lb=4, n=2, n_same_fc=2, max_iterations=8)
 faults = collapse_faults(circuit)
+commit = CheckpointWriter.commit_iteration
 
 
-class SlowSim:
-    def __init__(self, base):
-        self.base = base
-
-    @property
-    def chain_length(self):
-        return self.base.chain_length
-
-    def simulate_grouped(self, *args, **kwargs):
-        time.sleep(sleep)
-        return self.base.simulate_grouped(*args, **kwargs)
+def slow_commit(*args, **kwargs):
+    time.sleep(sleep)
+    return commit(*args, **kwargs)
 
 
-base = FaultSimulator(circuit)
-if n_jobs > 1:
-    base = base.sharded(n_jobs)
-run_procedure2(circuit, config, faults,
-               simulator=SlowSim(base), checkpoint=journal)
+CheckpointWriter.commit_iteration = slow_commit
+run_procedure2(circuit, config, faults, n_jobs=n_jobs, checkpoint=journal)
 print("DONE", flush=True)
 """
 
@@ -383,7 +385,7 @@ class TestSignalResume:
         src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.Popen(
             [sys.executable, str(script), src, str(journal),
-             str(n_jobs), "0.08"],
+             str(n_jobs), "0.3"],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:

@@ -230,6 +230,23 @@ class TestFuzzCommand:
         assert main(["fuzz", "--replay", str(tmp_path)]) == 2
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("cmd", ["run", "first-complete"])
+    @pytest.mark.parametrize(
+        "opts, message",
+        [
+            (["--jobs", "0"], "n_jobs must be >= 1"),
+            (["--la", "9", "--lb", "4"], "L_A < L_B"),
+        ],
+    )
+    def test_bad_value_is_one_error_line(self, cmd, opts, message, capsys):
+        assert main([cmd, "s27", *opts]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+
 class TestIngestionErrors:
     def test_unparseable_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.bench"

@@ -3,8 +3,10 @@
 Seeded random circuits and random limited-scan schedules are simulated
 through
 
-1. the compiled bit-parallel fault simulator (the serial reference),
-2. the fault-sharded parallel simulator built on top of it, and
+1. the compiled bit-parallel fault simulator, one test per pass
+   (``simulate``, the serial reference),
+2. the same simulator batching tests of one shape per pass
+   (``simulate_grouped``, the path Procedure 2 runs), and
 3. a scalar oracle built on the event-driven simulator, which shares no
    evaluation code with the compiled engine: each fault becomes a
    *mutated circuit* (the faulty net's driver replaced by a constant
@@ -12,9 +14,9 @@ through
    difference in the observation stream (PO values per time unit, bits
    leaving during limited scans, the final scan-out).
 
-All three must report the identical detection set on every case.  This
-is the correctness guard for the parallel sharding layer: bit-exact
-equivalence with the serial simulator is its entire contract.
+All three must report the identical detection set on every case.  The
+second half of the module holds the persistent pool's candidate
+evaluation to the serial result, record for record.
 """
 
 from __future__ import annotations
@@ -165,18 +167,17 @@ def random_case(seed: int) -> Tuple[Circuit, List[ScanTest]]:
 
 @pytest.mark.parametrize("seed", range(20))
 def test_three_way_detection_sets_identical(seed):
-    """compiled serial == sharded parallel == event-sim oracle."""
+    """compiled per-test == compiled grouped == event-sim oracle."""
     circuit, tests = random_case(seed)
     graph = FaultGraph(circuit)
     faults = collapse_faults(circuit)
     sim = FaultSimulator(graph)
 
     compiled = set(sim.simulate(tests, faults))
-    with sim.sharded(2) as psim:
-        sharded = set(psim.simulate(tests, faults))
+    grouped = set(sim.simulate_grouped(tests, faults))
     oracle = EventSimFaultOracle(graph).detected(tests, faults)
 
-    assert sharded == compiled
+    assert grouped == compiled
     assert oracle == compiled
 
 
@@ -208,9 +209,9 @@ def test_oracle_catches_an_injected_discrepancy():
 
 # ----------------------------------------------------------------------
 # Persistent-pool differential suite: the batched candidate evaluator
-# (in-process and through the worker pool) and the legacy sharded
-# simulator must reproduce the serial ``simulate_grouped`` result --
-# same detections, same insertion order -- on every seeded case.
+# (in-process and through the worker pool) must reproduce the serial
+# ``simulate_grouped`` result -- same detections, same insertion order
+# -- on every seeded case.
 # ----------------------------------------------------------------------
 import dataclasses
 import json
@@ -242,7 +243,8 @@ def _pool_case(seed: int):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_pool_vs_serial_vs_sharded_identical(seed):
-    """Candidate tables from the pool evaluator == serial == sharded."""
+    """Candidate tables from the pool evaluator == serial, with the
+    faults split over two shards wherever they span two words."""
     circuit, cfg, ts0, faults = _pool_case(seed)
     sim = FaultSimulator(circuit)
     n_sv = circuit.num_state_vars
@@ -261,11 +263,11 @@ def test_pool_vs_serial_vs_sharded_identical(seed):
     }
 
     pooled_cfg = dataclasses.replace(
-        cfg, n_jobs=2, pool="persistent", candidate_batch=len(specs)
+        cfg, n_jobs=2, candidate_batch=len(specs)
     )
     evaluator = CandidateEvaluator(
         sim, ts0, pooled_cfg, n_sv, None,
-        n_jobs=2, targets=faults, circuit_name=circuit.name,
+        n_jobs=2, targets=faults, circuit_name=circuit.name, shards=2,
     )
     try:
         tables = evaluator.evaluate_specs(specs, faults)
@@ -275,11 +277,6 @@ def test_pool_vs_serial_vs_sharded_identical(seed):
             assert list(hits.items()) == list(serial[spec].items())
     finally:
         evaluator.close()
-
-    with sim.sharded(2) as psim:
-        for spec, tests in built.items():
-            sharded = psim.simulate_grouped(tests, faults)
-            assert set(sharded) == set(serial[spec])
 
 
 class TestProcedure2PoolByteIdentity:
@@ -297,8 +294,7 @@ class TestProcedure2PoolByteIdentity:
         baseline = self._run(s27, faults, self.CFG)
         for jobs, batch in self.GRID:
             cfg = dataclasses.replace(
-                self.CFG, n_jobs=jobs, pool="persistent",
-                candidate_batch=batch,
+                self.CFG, n_jobs=jobs, candidate_batch=batch,
             )
             assert self._run(s27, faults, cfg) == baseline, (
                 f"n_jobs={jobs} candidate_batch={batch} diverged"
@@ -312,16 +308,9 @@ class TestProcedure2PoolByteIdentity:
         for jobs, batch in [(2, 8), (4, 1), (4, 8)]:
             path = tmp_path / f"pool_{jobs}_{batch}.jsonl"
             cfg = dataclasses.replace(
-                self.CFG, n_jobs=jobs, pool="persistent",
-                candidate_batch=batch,
+                self.CFG, n_jobs=jobs, candidate_batch=batch,
             )
             self._run(s27, faults, cfg, checkpoint=str(path))
             assert path.read_bytes() == reference, (
                 f"journal diverged at n_jobs={jobs} batch={batch}"
             )
-
-    def test_legacy_sharded_mode_still_matches(self, s27):
-        faults = collapse_faults(s27)
-        baseline = self._run(s27, faults, self.CFG)
-        cfg = dataclasses.replace(self.CFG, n_jobs=2, pool="sharded")
-        assert self._run(s27, faults, cfg) == baseline

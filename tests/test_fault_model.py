@@ -89,9 +89,3 @@ class TestFaultGraph:
         # The branch buffer reads the stem 'a'.
         gate = graph.sim_circuit.gate_for(net)
         assert gate.inputs == ("a",)
-
-    def test_injection_entry_shape(self, s27_graph):
-        fault = Fault(site="G8", value=1)
-        sig, word, bit, value = s27_graph.injection_entry(fault, 2, 7)
-        assert word == 2 and bit == 7 and value == 1
-        assert sig == s27_graph.signal_of(fault)

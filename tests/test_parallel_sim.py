@@ -1,36 +1,27 @@
-"""The fault-sharded parallel simulation layer.
+"""The parallel fault-simulation layer.
 
-Covers the sharding helpers, bit-exact equivalence with the serial
-simulator, the deterministic merge order, graceful degradation to the
-serial path, the PPSFP fault split, and the n_jobs=1-vs-4 determinism
-regression on Procedure 2 (byte-identical serialized results).
+Covers the sharding helpers, equivalence of the persistent pool's
+fault shards with the serial simulator, the n_jobs=1-vs-4 determinism
+regression on Procedure 2 (byte-identical serialized results), and the
+pool's publish-once pickling discipline.
 """
 
 import dataclasses
 import json
-import warnings
 
-import numpy as np
 import pytest
 
 from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.core.config import BistConfig
+from repro.core.limited_scan import build_limited_scan_test_set
 from repro.core.procedure2 import run_procedure2
 from repro.core.test_set import generate_ts0
 from repro.experiments.serialize import result_to_dict
-from repro.faults import sharding
 from repro.faults.collapse import collapse_faults
 from repro.faults.fault_sim import FaultSimulator, ObservationPolicy
-from repro.faults.model import FaultGraph
-from repro.faults.ppsfp import CombinationalFaultSimulator, pack_patterns
-from repro.faults.sharding import (
-    ShardedFaultSimulator,
-    resolve_n_jobs,
-    shard_faults,
-)
-from repro.rpg.prng import make_source
+from repro.faults.pool import CandidateEvaluator
+from repro.faults.sharding import resolve_n_jobs, shard_faults
 from repro.simulation.compiled import shard_word_ranges
-from tests.test_fault_sim_grouped import mixed_tests
 
 
 class TestShardHelpers:
@@ -78,128 +69,49 @@ class TestShardHelpers:
         assert cfg.n_jobs == 4
 
 
-class TestShardedEquivalence:
-    def test_simulate_records_identical(self, s27):
-        sim = FaultSimulator(s27)
-        faults = collapse_faults(s27)
-        tests = mixed_tests(s27, 31)
-        serial = sim.simulate(tests, faults)
-        with sim.sharded(3) as psim:
-            parallel = psim.simulate(tests, faults)
-        assert parallel == serial
-        # The merged dict preserves the serial first-detection order.
-        assert list(parallel) == list(serial)
+def serial_and_evaluated(circuit, specs, n_jobs, policy=None):
+    """Each candidate's detections from serial ``simulate_grouped`` and
+    from a :class:`CandidateEvaluator`, plus whether it started a pool."""
+    cfg = BistConfig(la=4, lb=8, n=8)
+    sim = FaultSimulator(circuit)
+    faults = collapse_faults(circuit)
+    ts0 = generate_ts0(circuit, cfg)
+    n_sv = circuit.num_state_vars
+    serial = []
+    for it, d1 in specs:
+        tests = (
+            ts0 if d1 is None
+            else build_limited_scan_test_set(ts0, it, d1, cfg, n_sv)
+        )
+        serial.append(list(sim.simulate_grouped(tests, faults, policy).items()))
+    with CandidateEvaluator(
+        sim, ts0, cfg, n_sv, policy, n_jobs=n_jobs, targets=faults,
+        circuit_name=circuit.name,
+    ) as ev:
+        tables = ev.evaluate_specs(specs, faults)
+        evaluated = [list(t.hits_for(faults).items()) for t in tables]
+        return serial, evaluated, ev._pool is not None
 
-    def test_simulate_grouped_sets_identical(self, medium_synth):
-        sim = FaultSimulator(medium_synth)
-        faults = collapse_faults(medium_synth)
-        tests = mixed_tests(medium_synth, 7)
-        serial = sim.simulate_grouped(tests, faults)
-        with sim.sharded(2) as psim:
-            parallel = psim.simulate_grouped(tests, faults)
-        assert set(parallel) == set(serial)
+
+class TestShardedEquivalence:
+    """Candidate evaluation reproduces the serial records, contents and
+    first-detection order; the rest of the grid is in
+    ``tests/test_differential_sim.py``."""
 
     def test_restricted_policy(self, s27):
-        sim = FaultSimulator(s27)
-        faults = collapse_faults(s27)
-        tests = mixed_tests(s27, 13)
         policy = ObservationPolicy(limited_scan_out=False)
-        with sim.sharded(2) as psim:
-            assert psim.simulate(tests, faults, policy) == sim.simulate(
-                tests, faults, policy
-            )
+        serial, pooled, used_pool = serial_and_evaluated(
+            s27, [(1, 1), (2, 3)], n_jobs=2, policy=policy
+        )
+        assert used_pool
+        assert pooled == serial
 
     def test_n_jobs_1_bypasses_pool(self, s27):
-        sim = FaultSimulator(s27)
-        psim = sim.sharded(1)
-        faults = collapse_faults(s27)
-        tests = mixed_tests(s27, 3)
-        assert psim.simulate(tests, faults) == sim.simulate(tests, faults)
-        assert psim._pool is None
-        psim.close()
-
-    def test_detected_by_universe_order(self, s27):
-        sim = FaultSimulator(s27)
-        faults = collapse_faults(s27)
-        tests = mixed_tests(s27, 5)
-        with sim.sharded(2) as psim:
-            assert psim.detected_by(tests, faults) == sim.detected_by(
-                tests, faults
-            )
-
-
-class TestGracefulDegradation:
-    def test_pool_failure_falls_back_to_serial(self, medium_synth, monkeypatch):
-        class BrokenPool:
-            def __init__(self, *a, **k):
-                raise OSError("fork failed")
-
-        monkeypatch.setattr(sharding, "SimulatorPool", BrokenPool)
-        sim = FaultSimulator(medium_synth)
-        faults = collapse_faults(medium_synth)  # > 64 faults: real sharding
-        assert len(faults) > 64
-        tests = mixed_tests(medium_synth, 11)
-        with ShardedFaultSimulator(sim, 2) as psim:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # no more RuntimeWarning API
-                records = psim.simulate(tests, faults)
-            assert records == sim.simulate(tests, faults)
-            # The failure is structured, not a warning: one
-            # pool-unavailable event per pending shard, resolved serially.
-            assert psim.degradation.degraded
-            events = psim.degradation.events
-            assert {e.kind for e in events} == {"pool-unavailable"}
-            assert {e.action for e in events} == {"serial"}
-            assert len(events) == 2
-            # After a pool-level failure the front-end stays serial,
-            # without growing the report further.
-            again = psim.simulate(tests, faults)
-            assert again == records
-            assert len(psim.degradation.events) == 2
-
-    def test_ppsfp_failure_falls_back(self, s27, monkeypatch):
-        class BrokenPool:
-            def __init__(self, *a, **k):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *a):
-                pass
-
-            def map_method(self, *a, **k):
-                raise RuntimeError("no fork for you")
-
-        monkeypatch.setattr(sharding, "SimulatorPool", BrokenPool)
-        graph = FaultGraph(s27)
-        csim = CombinationalFaultSimulator(graph)
-        faults = collapse_faults(s27)
-        src = make_source(3)
-        patterns = np.array(
-            [src.bits(csim.num_inputs) for _ in range(32)], dtype=np.uint8
+        serial, evaluated, used_pool = serial_and_evaluated(
+            s27, [(0, None), (1, 1)], n_jobs=1
         )
-        words = pack_patterns(patterns)
-        mask = np.full(1, np.uint64(0xFFFFFFFF))
-        serial = csim.detected(words, faults, mask)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            parallel = csim.detected(words, faults, mask, n_jobs=2)
-        assert parallel == serial
-
-
-class TestPpsfpSharded:
-    def test_same_hits_same_order(self, s27):
-        graph = FaultGraph(s27)
-        csim = CombinationalFaultSimulator(graph)
-        faults = collapse_faults(s27)
-        src = make_source(9)
-        patterns = np.array(
-            [src.bits(csim.num_inputs) for _ in range(64)], dtype=np.uint8
-        )
-        words = pack_patterns(patterns)
-        serial = csim.detected(words, faults)
-        parallel = csim.detected(words, faults, n_jobs=2)
-        assert parallel == serial
+        assert not used_pool
+        assert evaluated == serial
 
 
 class TestProcedure2Determinism:
@@ -241,49 +153,7 @@ class TestProcedure2Determinism:
         )
 
 
-class TestTs0Parallel:
-    def test_ts0_detection_counts_match(self, s27):
-        cfg = BistConfig(la=4, lb=8, n=8)
-        ts0 = generate_ts0(s27, cfg)
-        sim = FaultSimulator(s27)
-        faults = collapse_faults(s27)
-        serial = sim.simulate_grouped(ts0, faults)
-        with sim.sharded(4) as psim:
-            parallel = psim.simulate_grouped(ts0, faults)
-        assert set(parallel) == set(serial)
-
-
 class TestPicklingDiscipline:
-    """The simulator is serialized exactly once per pool lifetime.
-
-    Historically the serial-rescue path re-pickled the compiled circuit
-    on every fallback dispatch; ``SimulatorPool`` now serializes lazily
-    and exactly once, and a respawn after ``kill()`` reuses the cached
-    payload.  These tests pin that discipline via ``pickle_count``.
-    """
-
-    def test_pickled_once_across_dispatches_and_respawn(self, medium_synth):
-        sim = FaultSimulator(medium_synth)
-        faults = collapse_faults(medium_synth)
-        assert len(faults) > 64  # at least two shards: the pool spawns
-        tests = mixed_tests(medium_synth, 3)
-        with sim.sharded(2) as psim:
-            psim.simulate(tests, faults)
-            psim.simulate(tests, faults)
-            pool = psim._pool
-            assert pool is not None
-            assert pool.pickle_count == 1
-            pool.kill()  # respawn on the next dispatch
-            psim.simulate(tests, faults)
-            assert pool.pickle_count == 1
-
-    def test_unused_pool_never_pickles(self, s27):
-        pool = sharding.SimulatorPool(FaultSimulator(s27), 2)
-        try:
-            assert pool.pickle_count == 0
-        finally:
-            pool.close()
-
     def test_persistent_pool_publishes_once(self, s27):
         """The pool evaluator's session state is serialized exactly once
         (at segment publication), regardless of dispatch count."""

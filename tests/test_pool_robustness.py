@@ -1,8 +1,7 @@
 """Chaos injection against the persistent worker pool.
 
-The persistent pool must survive the same failure modes the legacy
-sharded executor does -- worker crash, hang, corrupted payload, task
-error, retry exhaustion, an unusable pool -- with shard-granular
+The persistent pool must survive worker crash, hang, corrupted payload,
+task error, retry exhaustion and an unusable pool with shard-granular
 recovery and a final result identical to the serial run.  On top of
 that it owns a shared-memory segment whose lifetime must end with the
 evaluator on *every* path, including SIGKILLed workers.
@@ -201,26 +200,20 @@ class TestChaosDeterminism:
         assert reports[0] == reports[1]
 
 
-#: Drives a 2-worker pool of the given kind, prints the worker pids (and
-#: the persistent pool's segment name) as one JSON line, then waits to be
-#: killed.  argv: <src-dir> <persistent|sharded>.
+#: Drives a 2-worker persistent pool, prints the worker pids and the
+#: pool's segment name as one JSON line, then waits to be killed.
+#: argv: <src-dir>.
 POOL_CHILD = """\
 import json, os, sys, time
 
 sys.path.insert(0, sys.argv[1])
 from repro.faults.pool import PersistentWorkerPool
-from repro.faults.sharding import SimulatorPool
 
-if sys.argv[2] == "persistent":
-    pool = PersistentWorkerPool({}, 2, "lifetime0000")
-    segment = pool.segment_name
-else:
-    pool = SimulatorPool({}, 2)
-    segment = None
+pool = PersistentWorkerPool({}, 2, "lifetime0000")
 executor = pool._ensure_executor()
 executor.submit(os.getpid).result()
-print(json.dumps({"pids": sorted(executor._processes), "segment": segment}),
-      flush=True)
+print(json.dumps({"pids": sorted(executor._processes),
+                  "segment": pool.segment_name}), flush=True)
 time.sleep(600)
 """
 
@@ -238,13 +231,13 @@ def _alive(pid: int) -> bool:
     not os.path.isdir("/proc/self"), reason="needs Linux PR_SET_PDEATHSIG"
 )
 class TestWorkersDieWithParent:
-    @pytest.mark.parametrize("kind", ["persistent", "sharded"])
+    @pytest.mark.parametrize("kind", ["persistent"])
     def test_sigkilled_parent_takes_its_workers(self, tmp_path, kind):
         script = tmp_path / "pool_child.py"
         script.write_text(POOL_CHILD)
         src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.Popen(
-            [sys.executable, str(script), src, kind],
+            [sys.executable, str(script), src],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
         pids = []
@@ -265,11 +258,11 @@ class TestWorkersDieWithParent:
             # With every worker gone the resource tracker unlinks the
             # dead parent's segment.
             segment = f"/dev/shm/{info['segment']}"
-            while info["segment"] and time.monotonic() < deadline + 5.0:
+            while time.monotonic() < deadline + 5.0:
                 if not os.path.exists(segment):
                     break
                 time.sleep(0.05)
-            assert not (info["segment"] and os.path.exists(segment))
+            assert not os.path.exists(segment)
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -363,7 +363,7 @@ class TestLargestCircuitPoolRoundTrip:
             for spec in specs
         }
         pooled_cfg = dataclasses.replace(
-            cfg, n_jobs=2, pool="persistent", candidate_batch=len(specs)
+            cfg, n_jobs=2, candidate_batch=len(specs)
         )
         evaluator = CandidateEvaluator(
             sim, ts0, pooled_cfg, n_sv, None,
